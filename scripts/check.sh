@@ -51,12 +51,16 @@ UBSAN_OPTIONS=halt_on_error=1 ASAN_OPTIONS=detect_leaks=1 \
 
 echo "=== sanitizers: TSan on the parallel runner + fuzz smoke (build-tsan/) ==="
 cmake -B build-tsan -S . -DH2PUSH_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$jobs" --target runner_test \
+cmake --build build-tsan -j "$jobs" --target runner_test browser_test \
   fuzz_frame_test fuzz_hpack_test fuzz_connection_test fuzz_sim_test \
   live_loopback_test
 # Force a multi-threaded sweep even on 1-core CI boxes.
 H2PUSH_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R ParallelRunner
+# The process-wide parsed-stylesheet cache, shared by runner threads: four
+# threads looking up and evicting concurrently.
+TSAN_OPTIONS=halt_on_error=1 \
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R StylesheetCache
 # Mini-fuzz under TSan: the suites are single-threaded by design, but the
 # instrumented run still validates the atomics/fences the codec hot paths
 # share with the threaded runner.

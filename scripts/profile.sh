@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Where a serial sweep spends its CPU, by layer: builds the fig2b harness
+# with gprof instrumentation (-pg, Release) in its own build directory, runs
+# it at --jobs 1 with the run cache off, and prints gprof's self time summed
+# per h2push namespace (sim, browser, h2, ...), with std/libstdc++ template
+# code and everything else in their own rows.
+#
+#   scripts/profile.sh              # full fig2b sweep (6 200 loads)
+#   scripts/profile.sh --quick      # reduced sweep, a few seconds
+#   scripts/profile.sh --top 30     # also list the 30 hottest functions
+#
+# Other flags are forwarded to bench_fig2b_push_vs_nopush. Only code linked
+# into the executable is sampled: time inside shared libraries (libc's
+# malloc/memcpy, libstdc++'s out-of-line parts) is not in the total.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+build_dir=build-prof
+top=0
+args=()
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --top)
+      top="$2"
+      shift 2
+      ;;
+    *)
+      args+=("$1")
+      shift
+      ;;
+  esac
+done
+
+jobs=$(nproc 2>/dev/null || echo 4)
+echo "=== build: Release + -pg (${build_dir}/) ===" >&2
+cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
+cmake --build "$build_dir" -j "$jobs" --target bench_fig2b_push_vs_nopush \
+  >/dev/null
+bench_bin=$(pwd)/$build_dir/bench/bench_fig2b_push_vs_nopush
+
+# gmon.out and the harness's BENCH_*.json land in the working directory.
+run_dir=$(mktemp -d)
+trap 'rm -rf "$run_dir"' EXIT
+echo "=== run: fig2b sweep, --jobs 1 ${args[*]:-} ===" >&2
+(cd "$run_dir" && env -u H2PUSH_CACHE -u H2PUSH_JOBS \
+  "$bench_bin" --jobs 1 "${args[@]}" >/dev/null)
+
+gprof -b -p "$bench_bin" "$run_dir/gmon.out" > "$run_dir/flat.txt"
+python3 - "$run_dir/flat.txt" "$top" <<'EOF'
+import re
+import sys
+
+# Flat-profile rows: %time, cumulative s, self s, then optionally calls and
+# two per-call columns, then the demangled name.
+row = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(.+)$")
+# The namespace that appears first in the name decides: a std:: template
+# instantiated over h2push types is std time, h2push::h2::... is h2.
+owner = re.compile(r"h2push::(\w+)::|(std::|__gnu_cxx::)")
+
+by_layer = {}
+funcs = []
+for line in open(sys.argv[1]):
+    m = row.match(line)
+    if not m:
+        continue
+    self_s, name = float(m.group(1)), m.group(2).strip()
+    o = owner.search(name)
+    if o is None:
+        layer = "other"
+    elif o.group(1):
+        layer = o.group(1)
+    else:
+        layer = "std"
+    by_layer[layer] = by_layer.get(layer, 0.0) + self_s
+    funcs.append((self_s, layer, name))
+
+total = sum(by_layer.values())
+if total <= 0:
+    sys.exit("profile.sh: gprof recorded no samples")
+print("%-10s %9s %7s" % ("layer", "self s", "share"))
+for layer, s in sorted(by_layer.items(), key=lambda kv: -kv[1]):
+    if s <= 0:
+        continue
+    print("%-10s %9.2f %6.1f%%" % (layer, s, 100.0 * s / total))
+print("%-10s %9.2f" % ("total", total))
+top = int(sys.argv[2])
+if top > 0:
+    print()
+    for self_s, layer, name in sorted(funcs, reverse=True)[:top]:
+        print("%7.2f %5.1f%%  %-8s %s" % (self_s, 100.0 * self_s / total,
+                                          layer, name[:110]))
+EOF

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
+#include "browser/stylesheet_cache.h"
 #include "http/url.h"
 #include "trace/trace.h"
 #include "util/strings.h"
@@ -257,9 +258,10 @@ void Renderer::add_stylesheet(const http::Url& url) {
   sub.on_complete = [this, index](const Fetch& fetch) {
     const double cost = static_cast<double>(fetch.body().size()) /
                         config_.css_parse_rate_bytes_per_ms;
-    main_.post(cost, [this, index, body = fetch.body()] {
-      on_sheet_loaded(index, body);
-    });
+    main_.post(cost,
+               [this, index, model = shared_stylesheet(fetch.body())] {
+                 on_sheet_loaded(index, model);
+               });
   };
   sheets_[index].fetch->subscribe(std::move(sub));
 }
@@ -268,22 +270,23 @@ void Renderer::add_inline_style(const std::string& text) {
   const std::size_t index = sheets_.size();
   sheets_.push_back(Sheet{});
   // Inline styles are parsed synchronously as part of the parse task.
-  on_sheet_loaded(index, text);
+  on_sheet_loaded(index, shared_stylesheet(text));
 }
 
-void Renderer::on_sheet_loaded(std::size_t index, const std::string& body) {
+void Renderer::on_sheet_loaded(std::size_t index,
+                               std::shared_ptr<const Stylesheet> model) {
   Sheet& sheet = sheets_[index];
-  sheet.model = parse_css(body);
+  sheet.model = std::move(model);
   sheet.loaded = true;
   // Hidden resources: fonts and background images only exist once the CSS
   // is parsed (paper s1: "hidden fonts referenced in the CSS").
-  for (const auto& face : sheet.model.font_faces) {
+  for (const auto& face : sheet.model->font_faces) {
     if (face.url.empty() || fonts_.count(face.family) != 0) continue;
     fonts_[face.family] =
         fetches_.fetch(http::resolve(main_url_, face.url),
                        NetPriority::kHighest);
   }
-  for (const auto& rule : sheet.model.rules) {
+  for (const auto& rule : sheet.model->rules) {
     for (const auto& url : rule.urls()) {
       auto fetch = fetches_.fetch(http::resolve(main_url_, url),
                                   NetPriority::kLowest);
@@ -453,7 +456,7 @@ std::optional<std::string> Renderer::required_font(
   if (unit.kind != PaintUnit::Kind::kText) return std::nullopt;
   for (const auto& sheet : sheets_) {
     if (!sheet.loaded) continue;
-    for (const auto& rule : sheet.model.rules) {
+    for (const auto& rule : sheet.model->rules) {
       const std::string family = rule.font_family();
       if (family.empty()) continue;
       if (!matches(rule, unit.path)) continue;

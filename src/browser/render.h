@@ -61,7 +61,7 @@ class Renderer {
   struct Sheet {
     std::shared_ptr<Fetch> fetch;  // null for inline <style>
     bool loaded = false;
-    Stylesheet model;
+    std::shared_ptr<const Stylesheet> model;  // from shared_stylesheet()
   };
 
   struct PaintUnit {
@@ -99,7 +99,8 @@ class Renderer {
   // --- subresources ---
   void add_stylesheet(const http::Url& url);
   void add_inline_style(const std::string& text);
-  void on_sheet_loaded(std::size_t index, const std::string& body);
+  void on_sheet_loaded(std::size_t index,
+                       std::shared_ptr<const Stylesheet> model);
   void handle_script_tag(const HtmlToken& token);
   void execute_script(const BlockedScript& script);
   void maybe_resume_parser();

@@ -19,11 +19,12 @@ SimChecker::SimChecker(sim::Simulator& sim) : sim_(sim) {
     }
     const std::size_t live =
         sim_.allocated_nodes() - sim_.pooled_nodes();
-    if (sim_.pending_events() + 1 > live) {
-      // +1: the firing node is released only after its callback runs.
+    if (sim_.pending_events() + 1 != live) {
+      // +1: the firing node is released only after its callback runs. Any
+      // other live node would be a dead heap entry or a leak.
       violation_ = "pending events (" +
                    std::to_string(sim_.pending_events()) +
-                   ") exceed live pool nodes (" + std::to_string(live) + ")";
+                   ") + 1 != live pool nodes (" + std::to_string(live) + ")";
     }
   });
 }

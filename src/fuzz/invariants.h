@@ -2,8 +2,9 @@
 //
 // SimChecker hooks Simulator::set_fire_hook and validates, on every event:
 //   * event-time monotonicity (time never goes backwards);
-//   * pool-accounting sanity (live nodes = allocated - pooled, and the
-//     pending-event count never exceeds live nodes).
+//   * exact pool accounting: live nodes (allocated - pooled) are the
+//     pending events plus the firing one, so the heap holds no dead
+//     entries.
 // Free functions validate end-state conservation laws for links and the
 // event pool. All failures are collected, not thrown, so a fuzz iteration
 // can report the seed alongside the first violation.

@@ -67,7 +67,8 @@ void EventLoop::add_fd(int fd, std::uint32_t interest, FdHandler handler) {
   const int rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   assert(rc == 0);
   (void)rc;
-  handlers_[fd] = Registration{std::move(handler), ++generation_};
+  handlers_[fd] = Registration{
+      std::make_shared<FdHandler>(std::move(handler)), ++generation_};
 }
 
 void EventLoop::modify_fd(int fd, std::uint32_t interest) {
@@ -145,7 +146,8 @@ void EventLoop::run() {
       if (it == handlers_.end() || it->second.generation > batch_generation) {
         continue;
       }
-      it->second.handler(from_epoll(events[i].events));
+      const std::shared_ptr<FdHandler> handler = it->second.handler;
+      (*handler)(from_epoll(events[i].events));
     }
     drain_posted();
   }

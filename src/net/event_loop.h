@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -53,7 +54,8 @@ class EventLoop {
   void post(Task task);
 
   /// Dispatch events until stop(). Reentrant-safe handlers: an fd removed
-  /// during dispatch is not fired afterwards in the same batch.
+  /// during dispatch is not fired afterwards in the same batch, and a
+  /// handler may remove (or replace) its own fd while it runs.
   void run();
   /// Ask run() to return; safe from any thread (and from handlers).
   void stop();
@@ -80,9 +82,10 @@ class EventLoop {
   TimerWheel timers_;
 
   // Generation guard: handlers erased mid-batch must not fire from stale
-  // epoll_event entries pointing at freed state.
+  // epoll_event entries pointing at freed state. Shared so that dispatch
+  // keeps a handler alive when it erases its own registration.
   struct Registration {
-    FdHandler handler;
+    std::shared_ptr<FdHandler> handler;
     std::uint64_t generation = 0;
   };
   std::unordered_map<int, Registration> handlers_;

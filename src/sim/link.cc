@@ -9,8 +9,7 @@ namespace h2push::sim {
 Link::Link(Simulator& sim, LinkConfig config, util::Rng loss_rng)
     : sim_(sim), config_(config), loss_rng_(loss_rng) {}
 
-bool Link::transmit(std::size_t bytes, Time extra_delay,
-                    std::function<void()> on_delivered) {
+bool Link::enqueue(std::size_t bytes, Time extra_delay, Time& arrival) {
   if (queued_bytes_ + bytes > config_.queue_capacity ||
       queued_packets_ >= config_.queue_packets) {
     ++dropped_;
@@ -28,7 +27,8 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
       trace_->instant(track_, "sim", "drop.random_loss", {{"bytes", bytes}});
       ++trace_->summary().packets_dropped;
     }
-    return true;  // consumed by the network, silently lost
+    arrival = -1;  // consumed by the network, silently lost
+    return true;
   }
   queued_bytes_ += bytes;
   accepted_bytes_ += bytes;
@@ -47,7 +47,7 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
                     static_cast<double>(queued_packets_));
   }
   // Bytes leave the queue when serialization completes...
-  sim_.schedule_at(depart, [this, bytes] {
+  sim_.schedule_in_lane(departures_, depart, [this, bytes] {
     queued_bytes_ -= bytes;
     --queued_packets_;
     if (trace_) {
@@ -58,14 +58,14 @@ bool Link::transmit(std::size_t bytes, Time extra_delay,
     }
   });
   // ...and arrive after propagation.
-  sim_.schedule_at(depart + config_.prop_delay + extra_delay,
-                   [this, bytes, cb = std::move(on_delivered)] {
-                     ++delivered_;
-                     delivered_bytes_ += bytes;
-                     if (trace_) ++trace_->summary().packets_delivered;
-                     cb();
-                   });
+  arrival = depart + config_.prop_delay + extra_delay;
   return true;
+}
+
+void Link::deliver(std::size_t bytes) {
+  ++delivered_;
+  delivered_bytes_ += bytes;
+  if (trace_) ++trace_->summary().packets_delivered;
 }
 
 }  // namespace h2push::sim

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <utility>
 
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -37,10 +37,24 @@ class Link {
   Link(Simulator& sim, LinkConfig config, util::Rng loss_rng);
 
   /// Enqueue a packet of `bytes` (incl. headers). `on_delivered` fires after
-  /// queueing + serialization + propagation (+ extra_delay). Returns false
-  /// if the packet was dropped (queue overflow or random loss).
-  bool transmit(std::size_t bytes, Time extra_delay,
-                std::function<void()> on_delivered);
+  /// queueing + serialization + propagation (+ extra_delay); it is stored in
+  /// the simulator's inline event storage, so a small capture costs no heap
+  /// allocation. Returns false if the queue was full and the packet was
+  /// dropped. A random loss returns true: the network took the packet and
+  /// silently lost it, so `on_delivered` never fires.
+  template <typename F>
+  bool transmit(std::size_t bytes, Time extra_delay, F&& on_delivered) {
+    Time arrival = 0;
+    if (!enqueue(bytes, extra_delay, arrival)) return false;
+    if (arrival < 0) return true;  // random loss
+    sim_.schedule_in_lane(
+        arrivals_, arrival,
+        [this, bytes, cb = std::forward<F>(on_delivered)]() mutable {
+          deliver(bytes);
+          cb();
+        });
+    return true;
+  }
 
   std::size_t queued_bytes() const noexcept { return queued_bytes_; }
   std::size_t queued_packets() const noexcept { return queued_packets_; }
@@ -67,9 +81,19 @@ class Link {
   }
 
  private:
+  /// Queue accounting and the departure event. Returns false on queue
+  /// overflow; otherwise sets `arrival` to the delivery time, or to -1 for
+  /// a random loss.
+  bool enqueue(std::size_t bytes, Time extra_delay, Time& arrival);
+  void deliver(std::size_t bytes);
+
   Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;
+  // Departures leave in queue order; arrivals do too while every packet
+  // has the same extra delay (one route).
+  Simulator::Lane departures_;
+  Simulator::Lane arrivals_;
   Time busy_until_ = 0;
   Time busy_time_ = 0;
   std::size_t queued_bytes_ = 0;
@@ -89,8 +113,9 @@ struct Route {
   Link* link = nullptr;
   Time extra_prop = 0;
 
-  bool transmit(std::size_t bytes, std::function<void()> on_delivered) const {
-    return link->transmit(bytes, extra_prop, std::move(on_delivered));
+  template <typename F>
+  bool transmit(std::size_t bytes, F&& on_delivered) const {
+    return link->transmit(bytes, extra_prop, std::forward<F>(on_delivered));
   }
 };
 

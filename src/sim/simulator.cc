@@ -27,52 +27,145 @@ Simulator::EventNode* Simulator::allocate_node() {
 
 void Simulator::release_node(EventNode* node) {
   node->fn.reset();
-  node->queued = false;
-  node->cancelled = false;
+  node->heap_index = kNotQueued;
   ++node->generation;  // invalidate outstanding EventIds for this node
   node->next_free = free_list_;
   free_list_ = node;
 }
 
-void Simulator::cancel(EventId id) {
-  if (id == kInvalidEvent) return;
+Simulator::EventNode* Simulator::pending_node(EventId id) const noexcept {
   const std::uint64_t slot_plus_one = id & 0xffffffffULL;
-  if (slot_plus_one == 0 || slot_plus_one > nodes_.size()) return;
+  if (slot_plus_one == 0 || slot_plus_one > nodes_.size()) return nullptr;
   EventNode* node = nodes_[slot_plus_one - 1];
   if (node->generation != static_cast<std::uint32_t>(id >> 32)) {
-    return;  // already fired or cancelled-and-recycled: stale id
+    return nullptr;  // already fired, cancelled or re-armed: stale id
   }
-  if (!node->queued || node->cancelled) return;
-  node->cancelled = true;
-  ++cancelled_count_;
+  // A popped node (its callback is running) is no longer pending.
+  return node->heap_index == kNotQueued ? nullptr : node;
+}
+
+void Simulator::cancel(EventId id) {
+  if (EventNode* node = pending_node(id)) {
+    remove(node);
+    release_node(node);
+  }
+}
+
+void Simulator::push(const QueueEntry& entry) {
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, entry);
+}
+
+void Simulator::add_to_lane(Lane& lane, EventNode* node, Time t) {
+  const std::uint64_t seq = next_seq_++;
+  if (lane.tail != nullptr && t < lane.tail->time) {
+    push(QueueEntry{t, seq, node});  // out of order: an ordinary event
+    return;
+  }
+  node->lane = &lane;
+  node->time = t;
+  node->seq = seq;
+  if (lane.tail == nullptr) {
+    push(QueueEntry{t, seq, node});  // the lane's head waits in the heap
+  } else {
+    lane.tail->next_free = node;  // keys only grow along a lane
+    ++lane_waiting_;
+  }
+  lane.tail = node;
+}
+
+void Simulator::advance_lane(EventNode* node) {
+  Lane& lane = *node->lane;
+  EventNode* next = node->next_free;
+  node->next_free = nullptr;
+  node->lane = nullptr;
+  if (next == nullptr) {
+    lane.tail = nullptr;
+    return;
+  }
+  --lane_waiting_;
+  push(QueueEntry{next->time, next->seq, next});
+}
+
+void Simulator::move(EventNode* node, Time t) {
+  const std::size_t i = node->heap_index;
+  const QueueEntry entry{t, next_seq_++, node};
+  if (i > 0 && entry.before(heap_[(i - 1) / 2])) {
+    sift_up(i, entry);
+  } else {
+    sift_down(i, entry);
+  }
+}
+
+void Simulator::remove(EventNode* node) {
+  const std::size_t i = node->heap_index;
+  const QueueEntry last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the removed entry was the last one
+  if (i > 0 && last.before(heap_[(i - 1) / 2])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
+}
+
+void Simulator::pop_front() {
+  // Floyd's pop: walk the hole at the root down to a leaf along the smaller
+  // children (one comparison per level), then fill it with the last entry,
+  // which being late rarely rises far.
+  const QueueEntry last = heap_.back();
+  heap_.pop_back();
+  const std::size_t n = heap_.size();
+  if (n == 0) return;
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+    place(i, heap_[child]);
+    i = child;
+  }
+  sift_up(i, last);
+}
+
+void Simulator::sift_up(std::size_t i, QueueEntry entry) noexcept {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!entry.before(heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, entry);
+}
+
+void Simulator::sift_down(std::size_t i, QueueEntry entry) noexcept {
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && heap_[child + 1].before(heap_[child])) ++child;
+    if (!heap_[child].before(entry)) break;
+    place(i, heap_[child]);
+    i = child;
+  }
+  place(i, entry);
 }
 
 bool Simulator::step() {
-  while (!queue_.empty()) {
-    EventNode* node = queue_.top().node;
-    const Time time = queue_.top().time;
-    queue_.pop();
-    // Popped: cancel() of this event's id must become a no-op from here on
-    // (including from inside its own callback).
-    node->queued = false;
-    if (node->cancelled) {
-      --cancelled_count_;
-      release_node(node);
-      continue;
-    }
-    now_ = time;
-    ++executed_;
-    if (fire_hook_) fire_hook_(time);
-    node->fn();
-    release_node(node);
-    return true;
-  }
-  return false;
+  if (heap_.empty()) return false;
+  const QueueEntry top = heap_.front();
+  pop_front();
+  // Popped: cancel() and rearm_at() of this event's id must treat it as no
+  // longer pending from here on (including from inside its own callback).
+  top.node->heap_index = kNotQueued;
+  if (top.node->lane != nullptr) advance_lane(top.node);
+  now_ = top.time;
+  ++executed_;
+  if (fire_hook_) fire_hook_(top.time);
+  top.node->fn();
+  release_node(top.node);
+  return true;
 }
 
 void Simulator::run(Time deadline) {
-  while (!queue_.empty()) {
-    if (queue_.top().time > deadline) break;
+  while (!heap_.empty()) {
+    if (heap_.front().time > deadline) break;
     step();
   }
 }

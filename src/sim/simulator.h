@@ -2,18 +2,24 @@
 //
 // A single-threaded event loop with deterministic ordering: events fire in
 // (time, insertion-sequence) order, so two events scheduled for the same
-// instant run in the order they were scheduled. Cancellation is lazy (O(1)),
-// which suits the TCP retransmission timers that are rescheduled on every
-// ACK.
+// instant run in the order they were scheduled.
 //
 // The schedule/fire path is the simulator's hottest loop — a page-load sweep
 // executes tens of millions of events — so it is allocation-free in steady
 // state: callbacks live in fixed inline storage inside pooled event nodes
-// (an intrusive free list recycles nodes as they fire), the priority queue
-// holds 24-byte {time, seq, node*} entries, and cancellation is a flag on
-// the node plus a counter instead of a node-based set. Stale EventIds
-// (fired, cancelled, or recycled) are rejected via a per-node generation
-// tag packed into the id, so cancel() keeps its "any id is safe" contract.
+// (an intrusive free list recycles nodes as they fire), and the priority
+// queue is an indexed binary heap of 24-byte {time, seq, node*} entries
+// whose nodes record their heap position. That position makes cancel() an
+// O(log n) removal and rearm_at() an in-place move, so the heap never holds
+// dead entries: TCP's retransmission timer, re-armed on every segment and
+// every ACK, costs one sift instead of a tombstone plus a fresh node. Stale
+// EventIds (fired, cancelled, re-armed, or recycled) are rejected via a
+// per-node generation tag packed into the id, so cancel() keeps its "any id
+// is safe" contract. Lanes keep the heap small: a link's departures (and,
+// on one route, its arrivals) come in time order, so only the earliest of
+// each lane sits in the heap and the rest wait behind it — an exact merge
+// of sorted runs, since every event keeps the (time, seq) key schedule_at
+// would have given it.
 #pragma once
 
 #include <cstddef>
@@ -21,7 +27,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -84,7 +89,25 @@ class EventFn {
 }  // namespace detail
 
 class Simulator {
+  struct EventNode;
+
  public:
+  /// A run of events whose times never decrease, such as one link's packet
+  /// departures. Only the earliest waits in the heap and the rest queue
+  /// behind it in order, so a link with hundreds of packets in flight costs
+  /// the heap one entry. Owned by the scheduler of its events and, like
+  /// anything their callbacks touch, must outlive them.
+  class Lane {
+   public:
+    Lane() = default;
+    Lane(const Lane&) = delete;
+    Lane& operator=(const Lane&) = delete;
+
+   private:
+    friend class Simulator;
+    EventNode* tail = nullptr;  // last pending event of the lane
+  };
+
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -94,14 +117,22 @@ class Simulator {
   /// Schedule `fn` at absolute time `t` (clamped to now()).
   template <typename F>
   EventId schedule_at(Time t, F&& fn) {
-    if (t < now_) t = now_;
     EventNode* node = allocate_node();
     node->fn.emplace(std::forward<F>(fn));
-    node->queued = true;
-    node->cancelled = false;
-    queue_.push(QueueEntry{t, next_seq_++, node});
-    return (static_cast<EventId>(node->generation) << 32) |
-           static_cast<EventId>(node->slot + 1);
+    push(QueueEntry{t < now_ ? now_ : t, next_seq_++, node});
+    return id_of(node);
+  }
+
+  /// schedule_at(t, fn) for an event of `lane`: the same (time, seq) key,
+  /// so the same firing order. If `t` is not before the lane's last
+  /// pending event, the event queues behind it instead of entering the
+  /// heap; an earlier `t` makes it an ordinary event. Lane events cannot
+  /// be cancelled.
+  template <typename F>
+  void schedule_in_lane(Lane& lane, Time t, F&& fn) {
+    EventNode* node = allocate_node();
+    node->fn.emplace(std::forward<F>(fn));
+    add_to_lane(lane, node, t < now_ ? now_ : t);
   }
 
   /// Schedule `fn` `delay` after now().
@@ -113,9 +144,29 @@ class Simulator {
   /// Cancel a pending event. Safe to call with kInvalidEvent, an id that
   /// already fired, an id that was never issued, or an id cancelled before
   /// (all no-ops): the generation tag in the id mismatches once a node is
-  /// recycled, and the queued/cancelled flags reject the rest, so
+  /// recycled, and a node that is not in the heap is left alone, so
   /// pending_events() stays exact.
   void cancel(EventId id);
+
+  /// Exactly `cancel(id); return schedule_at(t, fn);` — same (time, seq)
+  /// key, same seq consumption, same fire order, and `id` is stale
+  /// afterwards — but when `id` is pending its node is reused and moved
+  /// within the heap instead of leaving a dead entry behind.
+  template <typename F>
+  EventId rearm_at(EventId id, Time t, F&& fn) {
+    EventNode* node = pending_node(id);
+    if (node == nullptr) return schedule_at(t, std::forward<F>(fn));
+    node->fn.emplace(std::forward<F>(fn));
+    ++node->generation;  // the old id must not reach the re-armed event
+    move(node, t < now_ ? now_ : t);
+    return id_of(node);
+  }
+
+  /// rearm_at(id, now() + delay, fn).
+  template <typename F>
+  EventId rearm_in(EventId id, Time delay, F&& fn) {
+    return rearm_at(id, now_ + delay, std::forward<F>(fn));
+  }
 
   /// Run the next pending event; returns false when the queue is empty.
   bool step();
@@ -124,7 +175,7 @@ class Simulator {
   void run(Time deadline = INT64_MAX);
 
   std::size_t pending_events() const noexcept {
-    return queue_.size() - cancelled_count_;
+    return heap_.size() + lane_waiting_;
   }
   std::uint64_t executed_events() const noexcept { return executed_; }
 
@@ -144,34 +195,61 @@ class Simulator {
   }
 
  private:
+  static constexpr std::uint32_t kNotQueued = UINT32_MAX;
+
   struct EventNode {
     detail::EventFn fn;
-    EventNode* next_free = nullptr;  // intrusive free list link
-    std::uint32_t slot = 0;          // index into nodes_, stable for life
-    std::uint32_t generation = 1;    // bumped on recycle; stale ids mismatch
-    bool queued = false;             // in queue_ and not yet popped
-    bool cancelled = false;
+    // Free list link; for a lane event, the next event of its lane.
+    EventNode* next_free = nullptr;
+    Lane* lane = nullptr;          // set while a lane event is pending
+    Time time = 0;                 // key of a lane event waiting behind
+    std::uint64_t seq = 0;         // the lane's head, outside the heap
+    std::uint32_t slot = 0;        // index into nodes_, stable for life
+    std::uint32_t generation = 1;  // bumped on recycle; stale ids mismatch
+    std::uint32_t heap_index = kNotQueued;  // position in heap_ if there
   };
 
   struct QueueEntry {
     Time time;
     std::uint64_t seq;  // FIFO among same-time events
     EventNode* node;
-    bool operator>(const QueueEntry& other) const noexcept {
-      if (time != other.time) return time > other.time;
-      return seq > other.seq;
+    bool before(const QueueEntry& other) const noexcept {
+      if (time != other.time) return time < other.time;
+      return seq < other.seq;
     }
   };
 
+  static EventId id_of(const EventNode* node) noexcept {
+    return (static_cast<EventId>(node->generation) << 32) |
+           static_cast<EventId>(node->slot + 1);
+  }
+
   EventNode* allocate_node();
   void release_node(EventNode* node);
+  /// The node `id` names if it is still in the heap, else nullptr.
+  EventNode* pending_node(EventId id) const noexcept;
+
+  // Indexed binary min-heap on (time, seq); every write of an entry also
+  // records its position in the entry's node.
+  void push(const QueueEntry& entry);
+  void move(EventNode* node, Time t);
+  void remove(EventNode* node);
+  void pop_front();
+  void place(std::size_t i, const QueueEntry& entry) noexcept {
+    heap_[i] = entry;
+    entry.node->heap_index = static_cast<std::uint32_t>(i);
+  }
+  void sift_up(std::size_t i, QueueEntry entry) noexcept;
+  void sift_down(std::size_t i, QueueEntry entry) noexcept;
+  void add_to_lane(Lane& lane, EventNode* node, Time t);
+  /// `node` of a lane just left the heap: its successor takes its place.
+  void advance_lane(EventNode* node);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t cancelled_count_ = 0;  // cancelled entries still in queue_
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>>
-      queue_;
+  std::vector<QueueEntry> heap_;
+  std::size_t lane_waiting_ = 0;  // lane events queued behind a lane head
   // Pool backing storage: nodes are allocated in blocks and never freed
   // until the simulator dies; nodes_ maps slot → node for cancel().
   std::vector<std::unique_ptr<EventNode[]>> blocks_;

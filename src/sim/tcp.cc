@@ -48,12 +48,13 @@ void TcpConnection::send_handshake_packet() {
   }
   const Route& route = upstream ? up_.data_route : down_.data_route;
   route.transmit(bytes, [this, step] { advance_handshake(step); });
-  sim_.cancel(handshake_timer_);
-  handshake_timer_ = sim_.schedule_in(handshake_rto_, [this, step] {
-    if (handshake_step_ != step) return;  // progressed meanwhile
-    handshake_rto_ = std::min<Time>(handshake_rto_ * 2, from_seconds(20));
-    send_handshake_packet();
-  });
+  handshake_timer_ =
+      sim_.rearm_in(handshake_timer_, handshake_rto_, [this, step] {
+        if (handshake_step_ != step) return;  // progressed meanwhile
+        handshake_rto_ =
+            std::min<Time>(handshake_rto_ * 2, from_seconds(20));
+        send_handshake_packet();
+      });
 }
 
 void TcpConnection::advance_handshake(int arrived_step) {
@@ -126,10 +127,6 @@ void TcpConnection::trace_congestion(Side sender) {
 }
 
 void TcpConnection::try_send(Side sender) {
-  if (!connected_ && sender == Side::kServer) {
-    // The server may buffer before the handshake completes; data flows once
-    // connected (on_accepted callers write after handshake by construction).
-  }
   Half& h = half(sender);
   const auto mss = static_cast<std::uint64_t>(config_.mss);
   while (h.snd_nxt < h.app_end) {
@@ -149,10 +146,7 @@ void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
                                      std::size_t len, bool is_retransmit) {
   Half& h = half(sender);
   assert(seq >= h.base_seq);
-  const std::size_t off = static_cast<std::size_t>(seq - h.base_seq);
-  assert(off + len <= h.buffer.size());
-  std::vector<std::uint8_t> payload(h.buffer.begin() + off,
-                                    h.buffer.begin() + off + len);
+  assert(seq - h.base_seq + len <= h.buffer.size());
   if (is_retransmit) {
     ++h.retransmissions;
     if (trace_) {
@@ -169,51 +163,46 @@ void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
   } else if (is_retransmit && seq < h.sample_seq) {
     h.sample_sent_at = -1;  // invalidate sample spanning a retransmit
   }
-  h.data_route.transmit(
-      len + config_.header_bytes,
-      [this, sender, seq, payload = std::move(payload)]() mutable {
-        on_segment(sender, seq, std::move(payload));
-      });
+  h.data_route.transmit(len + config_.header_bytes,
+                        [this, sender, seq, len] {
+                          on_segment(sender, seq, len);
+                        });
   arm_rto(sender);
 }
 
 void TcpConnection::on_segment(Side sender, std::uint64_t seq,
-                               std::vector<std::uint8_t> payload) {
+                               std::size_t len) {
   Half& h = half(sender);
-  const std::uint64_t end = seq + payload.size();
+  const std::uint64_t end = seq + len;
   if (end <= h.rcv_nxt) {
     send_ack(sender);  // duplicate of already-received data
     return;
   }
   if (seq > h.rcv_nxt) {
-    h.ooo.emplace(seq, std::move(payload));  // hole: buffer out of order
+    h.ooo.emplace(seq, end);  // hole: buffer out of order
     send_ack(sender);
     return;
   }
-  // In-order (possibly partially duplicate) segment: deliver.
-  std::vector<std::uint8_t> deliverable(
-      payload.begin() + static_cast<std::ptrdiff_t>(h.rcv_nxt - seq),
-      payload.end());
+  // In-order (possibly partially duplicate) segment: deliver, together
+  // with any out-of-order segments that are now contiguous.
+  const std::uint64_t from = h.rcv_nxt;
   h.rcv_nxt = end;
-  // Drain any out-of-order segments that are now contiguous.
   while (!h.ooo.empty()) {
     auto it = h.ooo.begin();
     if (it->first > h.rcv_nxt) break;
-    const std::uint64_t seg_end = it->first + it->second.size();
-    if (seg_end > h.rcv_nxt) {
-      deliverable.insert(
-          deliverable.end(),
-          it->second.begin() +
-              static_cast<std::ptrdiff_t>(h.rcv_nxt - it->first),
-          it->second.end());
-      h.rcv_nxt = seg_end;
-    }
+    h.rcv_nxt = std::max(h.rcv_nxt, it->second);
     h.ooo.erase(it);
   }
-  h.delivered += deliverable.size();
+  const auto count = static_cast<std::size_t>(h.rcv_nxt - from);
+  h.delivered += count;
   send_ack(sender);
   if (callbacks_.on_receive) {
-    callbacks_.on_receive(receiver_of(sender), deliverable);
+    // [from, rcv_nxt) is unacknowledged, so still in the sender's buffer.
+    assert(from >= h.base_seq);
+    const std::span<const std::uint8_t> buffered(h.buffer);
+    callbacks_.on_receive(
+        receiver_of(sender),
+        buffered.subspan(static_cast<std::size_t>(from - h.base_seq), count));
   }
 }
 
@@ -317,8 +306,8 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
 
 void TcpConnection::arm_rto(Side sender) {
   Half& h = half(sender);
-  sim_.cancel(h.rto_timer);
-  h.rto_timer = sim_.schedule_in(h.rto, [this, sender] { on_rto(sender); });
+  h.rto_timer =
+      sim_.rearm_in(h.rto_timer, h.rto, [this, sender] { on_rto(sender); });
 }
 
 void TcpConnection::on_rto(Side sender) {

@@ -15,10 +15,15 @@
 // signal (on_writable) that fires when fewer than `write_watermark` unsent
 // bytes remain buffered, so schedulers make frame-level decisions late —
 // exactly how h2o interacts with its socket buffers.
+//
+// Segments carry no payload copy: a data packet is just (seq, len), and the
+// receiver reads the bytes out of the sender's retransmission buffer when
+// it delivers them. The buffer only drops bytes the receiver has already
+// acknowledged, and delivery never reaches below the receiver's rcv_nxt, so
+// every byte it hands over is still there.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <span>
@@ -51,7 +56,9 @@ class TcpConnection {
     std::function<void()> on_connected;
     /// Fires on the server half an RTT earlier (when its handshake ends).
     std::function<void()> on_accepted;
-    /// In-order application bytes arriving at `side`.
+    /// In-order application bytes arriving at `side`. The span points into
+    /// the sending side's retransmission buffer and is valid only for the
+    /// duration of the call: copy what must outlive it.
     std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
@@ -115,7 +122,7 @@ class TcpConnection {
     Time sample_sent_at = -1;
     // --- receiver state ---
     std::uint64_t rcv_nxt = 0;
-    std::map<std::uint64_t, std::vector<std::uint8_t>> ooo;
+    std::map<std::uint64_t, std::uint64_t> ooo;  // past a hole: seq → end
     std::uint64_t delivered = 0;
     std::uint64_t last_ack_sent = 0;
   };
@@ -135,8 +142,7 @@ class TcpConnection {
   void try_send(Side sender);
   void transmit_segment(Side sender, std::uint64_t seq, std::size_t len,
                         bool is_retransmit);
-  void on_segment(Side sender, std::uint64_t seq,
-                  std::vector<std::uint8_t> payload);
+  void on_segment(Side sender, std::uint64_t seq, std::size_t len);
   void send_ack(Side data_sender);
   void on_ack(Side sender, std::uint64_t ack);
   void arm_rto(Side sender);

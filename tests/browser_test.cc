@@ -1,11 +1,17 @@
 // Browser model unit tests: HTML tokenizer (incremental), CSS parser and
-// selector matching, Chromium prioritizer chain, and visual-progress math.
+// selector matching, the shared parsed-stylesheet cache, Chromium
+// prioritizer chain, and visual-progress math.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "browser/css.h"
 #include "browser/html.h"
 #include "browser/metrics.h"
 #include "browser/priorities.h"
+#include "browser/stylesheet_cache.h"
 
 namespace h2push::browser {
 namespace {
@@ -179,6 +185,103 @@ TEST(CssMatch, DescendantSkipsIntermediateLevels) {
   const auto deep = make_path(
       {{"div", {"hero"}, ""}, {"section", {}, ""}, {"p", {}, ""}});
   EXPECT_TRUE(matches(sheet.rules[0], deep));
+}
+
+// ------------------------------------------------------- stylesheet cache
+
+// Each test uses its own texts: the cache is process-wide.
+std::string distinct_sheet(const std::string& tag, std::size_t i) {
+  return "/* " + tag + " */ .c" + std::to_string(i) +
+         " { background: url(/img/" + std::to_string(i) + ".png); }";
+}
+
+TEST(StylesheetCache, EqualBytesShareOneInstance) {
+  const std::string text = distinct_sheet("equal", 0);
+  const std::string copy = text;  // a different buffer, the same bytes
+  const auto a = shared_stylesheet(text);
+  const auto b = shared_stylesheet(copy);
+  EXPECT_EQ(a.get(), b.get());
+  const auto c = shared_stylesheet(distinct_sheet("equal", 1));
+  EXPECT_NE(a.get(), c.get());
+  ASSERT_EQ(a->rules.size(), 1u);
+  EXPECT_EQ(a->rules[0].selectors[0].text, ".c0");
+  EXPECT_EQ(c->rules[0].selectors[0].text, ".c1");
+}
+
+TEST(StylesheetCache, EntryBoundHolds) {
+  for (std::size_t i = 0; i <= kSharedStylesheetEntries; ++i) {
+    shared_stylesheet(distinct_sheet("bound", i));
+    EXPECT_LE(shared_stylesheet_count(), kSharedStylesheetEntries);
+  }
+  EXPECT_EQ(shared_stylesheet_count(), kSharedStylesheetEntries);
+}
+
+TEST(StylesheetCache, EvictedSheetStaysValidForItsHolder) {
+  const std::string text = distinct_sheet("evicted", 0);
+  const auto held = shared_stylesheet(text);
+  // Push the held entry out with a full cache's worth of newer sheets.
+  for (std::size_t i = 1; i <= kSharedStylesheetEntries; ++i) {
+    shared_stylesheet(distinct_sheet("evicted", i));
+  }
+  const auto fresh = shared_stylesheet(text);
+  EXPECT_NE(held.get(), fresh.get()) << "entry was not evicted";
+  ASSERT_EQ(held->rules.size(), 1u);
+  EXPECT_EQ(held->rules[0].selectors[0].text, ".c0");
+  EXPECT_EQ(held->resource_urls(), fresh->resource_urls());
+}
+
+TEST(StylesheetCache, ConcurrentLookupsAgree) {
+  // Phase 1: a few hot sheets, fewer than the bound, looked up from four
+  // threads: every thread gets the one shared instance per text. Phase 2:
+  // churn past the bound while looking up, so evictions race with hits;
+  // every result must still be the parse of its text.
+  constexpr int kThreads = 4;
+  constexpr std::size_t kHot = 8;
+  std::vector<std::string> hot;
+  for (std::size_t i = 0; i < kHot; ++i) {
+    hot.push_back(distinct_sheet("concurrent-hot", i));
+  }
+  std::vector<std::vector<const Stylesheet*>> seen(kThreads);
+  std::vector<int> wrong(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (std::size_t i = 0; i < kHot; ++i) {
+          const auto sheet = shared_stylesheet(hot[i]);
+          if (round == 0) seen[t].push_back(sheet.get());
+          if (sheet->rules.empty() ||
+              sheet->rules[0].selectors[0].text !=
+                  ".c" + std::to_string(i)) {
+            ++wrong[t];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(wrong[t], 0);
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+  }
+
+  threads.clear();
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < 2 * kSharedStylesheetEntries; ++i) {
+        const std::size_t k = (i * 7 + static_cast<std::size_t>(t)) %
+                              (kSharedStylesheetEntries + kHot);
+        const auto sheet = shared_stylesheet(distinct_sheet("churn", k));
+        if (sheet->rules.empty() ||
+            sheet->rules[0].selectors[0].text != ".c" + std::to_string(k)) {
+          ++wrong[t];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0);
+  EXPECT_LE(shared_stylesheet_count(), kSharedStylesheetEntries);
 }
 
 // ------------------------------------------------------------- priorities

@@ -3,9 +3,14 @@
 // Random schedule/cancel/reschedule workloads (including from inside
 // callbacks, the pattern TCP retransmission timers use) under the
 // SimChecker fire hook: event times never go backwards, pool accounting
-// stays exact, links conserve bytes.
+// stays exact, links conserve bytes. rearm_at and schedule_in_lane are
+// checked against their definitions (cancel + schedule_at, and plain
+// schedule_at) on random operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "fuzz/invariants.h"
@@ -34,7 +39,7 @@ TEST(FuzzSim, RandomScheduleCancelWorkloads) {
     std::uint64_t fired = 0;
     auto plan = r.fork("plan");
     // Seed events; each may reschedule or cancel others when it fires —
-    // the self-modifying pattern the lazy-cancellation design exists for.
+    // the self-modifying pattern TCP retransmission timers follow.
     const std::size_t initial = plan.range(1, 40);
     for (std::size_t j = 0; j < initial; ++j) {
       const auto t = static_cast<sim::Time>(plan.range(0, 1000));
@@ -154,6 +159,226 @@ TEST(FuzzSim, StaleEventIdsNeverCancelRecycledNodes) {
     sim.run();
     EXPECT_EQ(fired2, n) << seed_msg(seed);
     if (auto leak = fuzz::check_drained(sim)) {
+      FAIL() << *leak << seed_msg(seed);
+    }
+  }
+}
+
+// rearm_at(id, t, fn) is defined as cancel(id) + schedule_at(t, fn). Two
+// simulators run the same seeded plan of schedules, cancels, re-arms, steps
+// and bounded runs — also from inside callbacks, re-arming the firing
+// event's own slot among others — one through rearm_at, one through the
+// definition. They must agree after every operation, and stale ids
+// (re-armed away, cancelled, or fired) must stay no-ops.
+struct RearmPlanAction {
+  enum class Kind { kNone, kSchedule, kArm, kArmSelf, kCancel } kind;
+  std::size_t target;  // slot, modulo the slots existing at the time
+  sim::Time delta;     // from now(); negative values exercise the clamp
+  std::size_t label;   // action the new event runs when it fires
+};
+
+class RearmSim {
+ public:
+  RearmSim(bool use_rearm, const std::vector<RearmPlanAction>& actions)
+      : use_rearm_(use_rearm), actions_(actions) {}
+
+  void apply(const RearmPlanAction& a, std::size_t self_slot) {
+    const sim::Time t = sim.now() + a.delta;
+    switch (a.kind) {
+      case RearmPlanAction::Kind::kNone:
+        break;
+      case RearmPlanAction::Kind::kSchedule:
+        ids.push_back(sim.schedule_at(t, Fire{this, ids.size(), a.label}));
+        break;
+      case RearmPlanAction::Kind::kArm:
+        if (!ids.empty()) arm(a.target % ids.size(), t, a.label);
+        break;
+      case RearmPlanAction::Kind::kArmSelf:
+        if (self_slot < ids.size()) arm(self_slot, t, a.label);
+        break;
+      case RearmPlanAction::Kind::kCancel:
+        if (!ids.empty()) sim.cancel(ids[a.target % ids.size()]);
+        break;
+    }
+  }
+
+  sim::Simulator sim;
+  std::vector<sim::EventId> ids;    // slot → its latest id
+  std::vector<sim::EventId> stale;  // re-armed away or fired
+  std::vector<std::pair<std::size_t, sim::Time>> fired;  // (label, time)
+
+ private:
+  struct Fire {
+    RearmSim* owner;
+    std::size_t slot;
+    std::size_t label;
+    void operator()() const {
+      owner->fired.emplace_back(label, owner->sim.now());
+      owner->stale.push_back(owner->ids[slot]);  // its own id, now spent
+      owner->apply(owner->actions_[label], slot);
+    }
+  };
+
+  void arm(std::size_t slot, sim::Time t, std::size_t label) {
+    stale.push_back(ids[slot]);
+    if (use_rearm_) {
+      ids[slot] = sim.rearm_at(ids[slot], t, Fire{this, slot, label});
+    } else {
+      sim.cancel(ids[slot]);
+      ids[slot] = sim.schedule_at(t, Fire{this, slot, label});
+    }
+  }
+
+  bool use_rearm_;
+  const std::vector<RearmPlanAction>& actions_;
+};
+
+TEST(FuzzSim, RearmMatchesCancelPlusSchedule) {
+  const std::size_t iters = iterations(300);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = fuzz_test::kSimSeed + (3u << 20) + i;
+    Random r(seed);
+    auto table = r.fork("actions");
+    std::vector<RearmPlanAction> actions(table.range(1, 48));
+    const auto random_action = [&](Random& g, sim::Time min_delta) {
+      RearmPlanAction a;
+      a.kind = static_cast<RearmPlanAction::Kind>(g.range(0, 4));
+      a.target = g.index(64);
+      a.delta = min_delta + static_cast<sim::Time>(g.range(0, 100));
+      a.label = g.index(actions.size());
+      return a;
+    };
+    // Callbacks always move time forward, so chains of events terminate;
+    // operations from outside also schedule into the past (clamped).
+    for (auto& a : actions) a = random_action(table, 1);
+
+    RearmSim moved(/*use_rearm=*/true, actions);
+    RearmSim reference(/*use_rearm=*/false, actions);
+    fuzz::SimChecker checker(moved.sim);
+    auto plan = r.fork("plan");
+    const std::size_t ops = plan.range(1, 200);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const auto choice = plan.range(0, 9);
+      if (choice < 5) {
+        const RearmPlanAction a = random_action(plan, -20);
+        moved.apply(a, SIZE_MAX);
+        reference.apply(a, SIZE_MAX);
+      } else if (choice < 7) {
+        EXPECT_EQ(moved.sim.step(), reference.sim.step()) << seed_msg(seed);
+      } else if (choice < 8) {
+        const sim::Time deadline =
+            moved.sim.now() + static_cast<sim::Time>(plan.range(0, 60));
+        moved.sim.run(deadline);
+        reference.sim.run(deadline);
+      } else if (!moved.stale.empty()) {
+        // A re-armed-away or fired id: cancelling it changes nothing.
+        const std::size_t pending = moved.sim.pending_events();
+        const std::size_t k = plan.index(moved.stale.size());
+        moved.sim.cancel(moved.stale[k]);
+        reference.sim.cancel(reference.stale[k]);
+        EXPECT_EQ(moved.sim.pending_events(), pending) << seed_msg(seed);
+        EXPECT_EQ(reference.sim.pending_events(), pending) << seed_msg(seed);
+      }
+      ASSERT_EQ(moved.fired, reference.fired) << "op " << op << seed_msg(seed);
+      ASSERT_EQ(moved.sim.now(), reference.sim.now()) << seed_msg(seed);
+      ASSERT_EQ(moved.sim.executed_events(), reference.sim.executed_events())
+          << seed_msg(seed);
+      ASSERT_EQ(moved.sim.pending_events(), reference.sim.pending_events())
+          << seed_msg(seed);
+      // No dead entries: every live pool node is a pending event.
+      ASSERT_EQ(moved.sim.allocated_nodes() - moved.sim.pooled_nodes(),
+                moved.sim.pending_events())
+          << seed_msg(seed);
+    }
+    // Drain with a bound: re-arming callbacks can chain indefinitely.
+    const sim::Time end = moved.sim.now() + 2000;
+    moved.sim.run(end);
+    reference.sim.run(end);
+    EXPECT_EQ(moved.fired, reference.fired) << seed_msg(seed);
+    EXPECT_EQ(moved.sim.now(), reference.sim.now()) << seed_msg(seed);
+    ASSERT_FALSE(checker.violation().has_value())
+        << *checker.violation() << seed_msg(seed);
+  }
+}
+
+// schedule_in_lane(lane, t, fn) must fire exactly like schedule_at(t, fn).
+// Two simulators get the same seeded plan of scheduling into a few lanes
+// (mostly in time order, sometimes not — those become ordinary events) and
+// of steps and bounded runs; callbacks schedule further lane events, as a
+// link's delivery does. Fire order, now(), executed_events() and
+// pending_events() must agree after every operation.
+TEST(FuzzSim, LaneEventsFireLikeScheduleAt) {
+  const std::size_t iters = iterations(300);
+  for (std::size_t i = 0; i < iters; ++i) {
+    const std::uint64_t seed = fuzz_test::kSimSeed + (4u << 20) + i;
+    Random r(seed);
+    constexpr std::size_t kLanes = 3;
+
+    struct LaneSim {
+      sim::Simulator sim;
+      sim::Simulator::Lane lanes[kLanes];
+      bool use_lanes = false;
+      std::vector<std::pair<std::size_t, sim::Time>> fired;
+      std::size_t next_label = 0;
+
+      // An event that, when it fires, may chain one more into its lane.
+      void add(std::size_t lane, sim::Time t, sim::Time chain) {
+        const std::size_t label = next_label++;
+        auto fn = [this, lane, label, chain] {
+          fired.emplace_back(label, sim.now());
+          if (chain > 0) add(lane, sim.now() + chain, chain / 2);
+        };
+        if (use_lanes) {
+          sim.schedule_in_lane(lanes[lane], t, fn);
+        } else {
+          sim.schedule_at(t, fn);
+        }
+      }
+    };
+    LaneSim laned, reference;
+    laned.use_lanes = true;
+    fuzz::SimChecker checker(laned.sim);
+
+    std::vector<sim::Time> lane_end(kLanes, 0);
+    auto plan = r.fork("plan");
+    const std::size_t ops = plan.range(1, 300);
+    for (std::size_t op = 0; op < ops; ++op) {
+      const auto choice = plan.range(0, 9);
+      if (choice < 6) {
+        const std::size_t lane = plan.index(kLanes);
+        // Mostly in order along the lane; now and then earlier than its
+        // last event, or in the past (clamped to now).
+        sim::Time t =
+            lane_end[lane] + static_cast<sim::Time>(plan.range(0, 30));
+        if (plan.chance(0.15)) {
+          t = laned.sim.now() - 10 +
+              static_cast<sim::Time>(plan.range(0, 40));
+        }
+        lane_end[lane] = std::max(lane_end[lane], t);
+        const auto chain = static_cast<sim::Time>(plan.range(0, 16));
+        laned.add(lane, t, chain);
+        reference.add(lane, t, chain);
+      } else if (choice < 8) {
+        EXPECT_EQ(laned.sim.step(), reference.sim.step()) << seed_msg(seed);
+      } else {
+        const sim::Time deadline =
+            laned.sim.now() + static_cast<sim::Time>(plan.range(0, 50));
+        laned.sim.run(deadline);
+        reference.sim.run(deadline);
+      }
+      ASSERT_EQ(laned.fired, reference.fired) << "op " << op << seed_msg(seed);
+      ASSERT_EQ(laned.sim.now(), reference.sim.now()) << seed_msg(seed);
+      ASSERT_EQ(laned.sim.executed_events(), reference.sim.executed_events())
+          << seed_msg(seed);
+      ASSERT_EQ(laned.sim.pending_events(), reference.sim.pending_events())
+          << seed_msg(seed);
+    }
+    laned.sim.run();
+    reference.sim.run();
+    EXPECT_EQ(laned.fired, reference.fired) << seed_msg(seed);
+    ASSERT_FALSE(checker.violation().has_value())
+        << *checker.violation() << seed_msg(seed);
+    if (auto leak = fuzz::check_drained(laned.sim)) {
       FAIL() << *leak << seed_msg(seed);
     }
   }
