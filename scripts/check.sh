@@ -58,7 +58,8 @@ cmake --build build-tsan -j "$jobs" --target runner_test browser_test \
 H2PUSH_JOBS=4 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R ParallelRunner
 # The process-wide parsed-stylesheet cache, shared by runner threads: four
-# threads looking up and evicting concurrently.
+# threads looking up, waiting on each other's parses and evicting
+# concurrently.
 TSAN_OPTIONS=halt_on_error=1 \
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R StylesheetCache
 # Mini-fuzz under TSan: the suites are single-threaded by design, but the

@@ -67,8 +67,7 @@ void EventLoop::add_fd(int fd, std::uint32_t interest, FdHandler handler) {
   const int rc = ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
   assert(rc == 0);
   (void)rc;
-  handlers_[fd] = Registration{
-      std::make_shared<FdHandler>(std::move(handler)), ++generation_};
+  handlers_[fd] = Registration{std::move(handler), ++generation_};
 }
 
 void EventLoop::modify_fd(int fd, std::uint32_t interest) {
@@ -146,8 +145,15 @@ void EventLoop::run() {
       if (it == handlers_.end() || it->second.generation > batch_generation) {
         continue;
       }
-      const std::shared_ptr<FdHandler> handler = it->second.handler;
-      (*handler)(from_epoll(events[i].events));
+      // The handler runs from a local so that it may remove (or replace)
+      // its own registration; it goes back only if that still stands.
+      const std::uint64_t generation = it->second.generation;
+      FdHandler handler = std::move(it->second.handler);
+      handler(from_epoll(events[i].events));
+      const auto again = handlers_.find(fd);
+      if (again != handlers_.end() && again->second.generation == generation) {
+        again->second.handler = std::move(handler);
+      }
     }
     drain_posted();
   }

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -82,10 +81,9 @@ class EventLoop {
   TimerWheel timers_;
 
   // Generation guard: handlers erased mid-batch must not fire from stale
-  // epoll_event entries pointing at freed state. Shared so that dispatch
-  // keeps a handler alive when it erases its own registration.
+  // epoll_event entries pointing at freed state.
   struct Registration {
-    std::shared_ptr<FdHandler> handler;
+    FdHandler handler;
     std::uint64_t generation = 0;
   };
   std::unordered_map<int, Registration> handlers_;

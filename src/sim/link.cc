@@ -47,7 +47,7 @@ bool Link::enqueue(std::size_t bytes, Time extra_delay, Time& arrival) {
                     static_cast<double>(queued_packets_));
   }
   // Bytes leave the queue when serialization completes...
-  sim_.schedule_in_lane(departures_, depart, [this, bytes] {
+  sim_.schedule_at(depart, [this, bytes] {
     queued_bytes_ -= bytes;
     --queued_packets_;
     if (trace_) {

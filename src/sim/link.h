@@ -47,9 +47,8 @@ class Link {
     Time arrival = 0;
     if (!enqueue(bytes, extra_delay, arrival)) return false;
     if (arrival < 0) return true;  // random loss
-    sim_.schedule_in_lane(
-        arrivals_, arrival,
-        [this, bytes, cb = std::forward<F>(on_delivered)]() mutable {
+    sim_.schedule_at(
+        arrival, [this, bytes, cb = std::forward<F>(on_delivered)]() mutable {
           deliver(bytes);
           cb();
         });
@@ -90,10 +89,6 @@ class Link {
   Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;
-  // Departures leave in queue order; arrivals do too while every packet
-  // has the same extra delay (one route).
-  Simulator::Lane departures_;
-  Simulator::Lane arrivals_;
   Time busy_until_ = 0;
   Time busy_time_ = 0;
   std::size_t queued_bytes_ = 0;

@@ -56,37 +56,6 @@ void Simulator::push(const QueueEntry& entry) {
   sift_up(heap_.size() - 1, entry);
 }
 
-void Simulator::add_to_lane(Lane& lane, EventNode* node, Time t) {
-  const std::uint64_t seq = next_seq_++;
-  if (lane.tail != nullptr && t < lane.tail->time) {
-    push(QueueEntry{t, seq, node});  // out of order: an ordinary event
-    return;
-  }
-  node->lane = &lane;
-  node->time = t;
-  node->seq = seq;
-  if (lane.tail == nullptr) {
-    push(QueueEntry{t, seq, node});  // the lane's head waits in the heap
-  } else {
-    lane.tail->next_free = node;  // keys only grow along a lane
-    ++lane_waiting_;
-  }
-  lane.tail = node;
-}
-
-void Simulator::advance_lane(EventNode* node) {
-  Lane& lane = *node->lane;
-  EventNode* next = node->next_free;
-  node->next_free = nullptr;
-  node->lane = nullptr;
-  if (next == nullptr) {
-    lane.tail = nullptr;
-    return;
-  }
-  --lane_waiting_;
-  push(QueueEntry{next->time, next->seq, next});
-}
-
 void Simulator::move(EventNode* node, Time t) {
   const std::size_t i = node->heap_index;
   const QueueEntry entry{t, next_seq_++, node};
@@ -154,7 +123,6 @@ bool Simulator::step() {
   // Popped: cancel() and rearm_at() of this event's id must treat it as no
   // longer pending from here on (including from inside its own callback).
   top.node->heap_index = kNotQueued;
-  if (top.node->lane != nullptr) advance_lane(top.node);
   now_ = top.time;
   ++executed_;
   if (fire_hook_) fire_hook_(top.time);

@@ -15,11 +15,7 @@
 // every ACK, costs one sift instead of a tombstone plus a fresh node. Stale
 // EventIds (fired, cancelled, re-armed, or recycled) are rejected via a
 // per-node generation tag packed into the id, so cancel() keeps its "any id
-// is safe" contract. Lanes keep the heap small: a link's departures (and,
-// on one route, its arrivals) come in time order, so only the earliest of
-// each lane sits in the heap and the rest wait behind it — an exact merge
-// of sorted runs, since every event keeps the (time, seq) key schedule_at
-// would have given it.
+// is safe" contract.
 #pragma once
 
 #include <cstddef>
@@ -92,22 +88,6 @@ class Simulator {
   struct EventNode;
 
  public:
-  /// A run of events whose times never decrease, such as one link's packet
-  /// departures. Only the earliest waits in the heap and the rest queue
-  /// behind it in order, so a link with hundreds of packets in flight costs
-  /// the heap one entry. Owned by the scheduler of its events and, like
-  /// anything their callbacks touch, must outlive them.
-  class Lane {
-   public:
-    Lane() = default;
-    Lane(const Lane&) = delete;
-    Lane& operator=(const Lane&) = delete;
-
-   private:
-    friend class Simulator;
-    EventNode* tail = nullptr;  // last pending event of the lane
-  };
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -121,18 +101,6 @@ class Simulator {
     node->fn.emplace(std::forward<F>(fn));
     push(QueueEntry{t < now_ ? now_ : t, next_seq_++, node});
     return id_of(node);
-  }
-
-  /// schedule_at(t, fn) for an event of `lane`: the same (time, seq) key,
-  /// so the same firing order. If `t` is not before the lane's last
-  /// pending event, the event queues behind it instead of entering the
-  /// heap; an earlier `t` makes it an ordinary event. Lane events cannot
-  /// be cancelled.
-  template <typename F>
-  void schedule_in_lane(Lane& lane, Time t, F&& fn) {
-    EventNode* node = allocate_node();
-    node->fn.emplace(std::forward<F>(fn));
-    add_to_lane(lane, node, t < now_ ? now_ : t);
   }
 
   /// Schedule `fn` `delay` after now().
@@ -174,9 +142,7 @@ class Simulator {
   /// Run until the queue is empty or `deadline` is reached.
   void run(Time deadline = INT64_MAX);
 
-  std::size_t pending_events() const noexcept {
-    return heap_.size() + lane_waiting_;
-  }
+  std::size_t pending_events() const noexcept { return heap_.size(); }
   std::uint64_t executed_events() const noexcept { return executed_; }
 
   /// Nodes currently on the free list (observability for pool tests).
@@ -199,11 +165,7 @@ class Simulator {
 
   struct EventNode {
     detail::EventFn fn;
-    // Free list link; for a lane event, the next event of its lane.
     EventNode* next_free = nullptr;
-    Lane* lane = nullptr;          // set while a lane event is pending
-    Time time = 0;                 // key of a lane event waiting behind
-    std::uint64_t seq = 0;         // the lane's head, outside the heap
     std::uint32_t slot = 0;        // index into nodes_, stable for life
     std::uint32_t generation = 1;  // bumped on recycle; stale ids mismatch
     std::uint32_t heap_index = kNotQueued;  // position in heap_ if there
@@ -241,15 +203,11 @@ class Simulator {
   }
   void sift_up(std::size_t i, QueueEntry entry) noexcept;
   void sift_down(std::size_t i, QueueEntry entry) noexcept;
-  void add_to_lane(Lane& lane, EventNode* node, Time t);
-  /// `node` of a lane just left the heap: its successor takes its place.
-  void advance_lane(EventNode* node);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
   std::vector<QueueEntry> heap_;
-  std::size_t lane_waiting_ = 0;  // lane events queued behind a lane head
   // Pool backing storage: nodes are allocated in blocks and never freed
   // until the simulator dies; nodes_ maps slot → node for cancel().
   std::vector<std::unique_ptr<EventNode[]>> blocks_;

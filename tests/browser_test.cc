@@ -2,6 +2,7 @@
 // selector matching, the shared parsed-stylesheet cache, Chromium
 // prioritizer chain, and visual-progress math.
 #include <gtest/gtest.h>
+#include <atomic>
 
 #include <string>
 #include <thread>
@@ -198,9 +199,12 @@ std::string distinct_sheet(const std::string& tag, std::size_t i) {
 TEST(StylesheetCache, EqualBytesShareOneInstance) {
   const std::string text = distinct_sheet("equal", 0);
   const std::string copy = text;  // a different buffer, the same bytes
+  const SharedStylesheetStats before = shared_stylesheet_stats();
   const auto a = shared_stylesheet(text);
   const auto b = shared_stylesheet(copy);
   EXPECT_EQ(a.get(), b.get());
+  EXPECT_EQ(shared_stylesheet_stats().lookups - before.lookups, 2u);
+  EXPECT_EQ(shared_stylesheet_stats().parses - before.parses, 1u);
   const auto c = shared_stylesheet(distinct_sheet("equal", 1));
   EXPECT_NE(a.get(), c.get());
   ASSERT_EQ(a->rules.size(), 1u);
@@ -211,9 +215,9 @@ TEST(StylesheetCache, EqualBytesShareOneInstance) {
 TEST(StylesheetCache, EntryBoundHolds) {
   for (std::size_t i = 0; i <= kSharedStylesheetEntries; ++i) {
     shared_stylesheet(distinct_sheet("bound", i));
-    EXPECT_LE(shared_stylesheet_count(), kSharedStylesheetEntries);
+    EXPECT_LE(shared_stylesheet_stats().entries, kSharedStylesheetEntries);
   }
-  EXPECT_EQ(shared_stylesheet_count(), kSharedStylesheetEntries);
+  EXPECT_EQ(shared_stylesheet_stats().entries, kSharedStylesheetEntries);
 }
 
 TEST(StylesheetCache, EvictedSheetStaysValidForItsHolder) {
@@ -232,9 +236,10 @@ TEST(StylesheetCache, EvictedSheetStaysValidForItsHolder) {
 
 TEST(StylesheetCache, ConcurrentLookupsAgree) {
   // Phase 1: a few hot sheets, fewer than the bound, looked up from four
-  // threads: every thread gets the one shared instance per text. Phase 2:
-  // churn past the bound while looking up, so evictions race with hits;
-  // every result must still be the parse of its text.
+  // threads that start together: every thread gets the one shared instance
+  // per text, and each text is parsed once between them. Phase 2: churn
+  // past the bound while looking up, so evictions race with hits; every
+  // result must still be the parse of its text.
   constexpr int kThreads = 4;
   constexpr std::size_t kHot = 8;
   std::vector<std::string> hot;
@@ -244,8 +249,12 @@ TEST(StylesheetCache, ConcurrentLookupsAgree) {
   std::vector<std::vector<const Stylesheet*>> seen(kThreads);
   std::vector<int> wrong(kThreads, 0);
   std::vector<std::thread> threads;
+  const std::uint64_t parses_before = shared_stylesheet_stats().parses;
+  std::atomic<int> ready{0};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
       for (int round = 0; round < 50; ++round) {
         for (std::size_t i = 0; i < kHot; ++i) {
           const auto sheet = shared_stylesheet(hot[i]);
@@ -264,6 +273,7 @@ TEST(StylesheetCache, ConcurrentLookupsAgree) {
     EXPECT_EQ(wrong[t], 0);
     EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
   }
+  EXPECT_EQ(shared_stylesheet_stats().parses - parses_before, kHot);
 
   threads.clear();
   for (int t = 0; t < kThreads; ++t) {
@@ -281,7 +291,7 @@ TEST(StylesheetCache, ConcurrentLookupsAgree) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < kThreads; ++t) EXPECT_EQ(wrong[t], 0);
-  EXPECT_LE(shared_stylesheet_count(), kSharedStylesheetEntries);
+  EXPECT_LE(shared_stylesheet_stats().entries, kSharedStylesheetEntries);
 }
 
 // ------------------------------------------------------------- priorities

@@ -3,12 +3,10 @@
 // Random schedule/cancel/reschedule workloads (including from inside
 // callbacks, the pattern TCP retransmission timers use) under the
 // SimChecker fire hook: event times never go backwards, pool accounting
-// stays exact, links conserve bytes. rearm_at and schedule_in_lane are
-// checked against their definitions (cancel + schedule_at, and plain
-// schedule_at) on random operation sequences.
+// stays exact, links conserve bytes. rearm_at is checked against its
+// definition (cancel + schedule_at) on random operation sequences.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -298,89 +296,6 @@ TEST(FuzzSim, RearmMatchesCancelPlusSchedule) {
     EXPECT_EQ(moved.sim.now(), reference.sim.now()) << seed_msg(seed);
     ASSERT_FALSE(checker.violation().has_value())
         << *checker.violation() << seed_msg(seed);
-  }
-}
-
-// schedule_in_lane(lane, t, fn) must fire exactly like schedule_at(t, fn).
-// Two simulators get the same seeded plan of scheduling into a few lanes
-// (mostly in time order, sometimes not — those become ordinary events) and
-// of steps and bounded runs; callbacks schedule further lane events, as a
-// link's delivery does. Fire order, now(), executed_events() and
-// pending_events() must agree after every operation.
-TEST(FuzzSim, LaneEventsFireLikeScheduleAt) {
-  const std::size_t iters = iterations(300);
-  for (std::size_t i = 0; i < iters; ++i) {
-    const std::uint64_t seed = fuzz_test::kSimSeed + (4u << 20) + i;
-    Random r(seed);
-    constexpr std::size_t kLanes = 3;
-
-    struct LaneSim {
-      sim::Simulator sim;
-      sim::Simulator::Lane lanes[kLanes];
-      bool use_lanes = false;
-      std::vector<std::pair<std::size_t, sim::Time>> fired;
-      std::size_t next_label = 0;
-
-      // An event that, when it fires, may chain one more into its lane.
-      void add(std::size_t lane, sim::Time t, sim::Time chain) {
-        const std::size_t label = next_label++;
-        auto fn = [this, lane, label, chain] {
-          fired.emplace_back(label, sim.now());
-          if (chain > 0) add(lane, sim.now() + chain, chain / 2);
-        };
-        if (use_lanes) {
-          sim.schedule_in_lane(lanes[lane], t, fn);
-        } else {
-          sim.schedule_at(t, fn);
-        }
-      }
-    };
-    LaneSim laned, reference;
-    laned.use_lanes = true;
-    fuzz::SimChecker checker(laned.sim);
-
-    std::vector<sim::Time> lane_end(kLanes, 0);
-    auto plan = r.fork("plan");
-    const std::size_t ops = plan.range(1, 300);
-    for (std::size_t op = 0; op < ops; ++op) {
-      const auto choice = plan.range(0, 9);
-      if (choice < 6) {
-        const std::size_t lane = plan.index(kLanes);
-        // Mostly in order along the lane; now and then earlier than its
-        // last event, or in the past (clamped to now).
-        sim::Time t =
-            lane_end[lane] + static_cast<sim::Time>(plan.range(0, 30));
-        if (plan.chance(0.15)) {
-          t = laned.sim.now() - 10 +
-              static_cast<sim::Time>(plan.range(0, 40));
-        }
-        lane_end[lane] = std::max(lane_end[lane], t);
-        const auto chain = static_cast<sim::Time>(plan.range(0, 16));
-        laned.add(lane, t, chain);
-        reference.add(lane, t, chain);
-      } else if (choice < 8) {
-        EXPECT_EQ(laned.sim.step(), reference.sim.step()) << seed_msg(seed);
-      } else {
-        const sim::Time deadline =
-            laned.sim.now() + static_cast<sim::Time>(plan.range(0, 50));
-        laned.sim.run(deadline);
-        reference.sim.run(deadline);
-      }
-      ASSERT_EQ(laned.fired, reference.fired) << "op " << op << seed_msg(seed);
-      ASSERT_EQ(laned.sim.now(), reference.sim.now()) << seed_msg(seed);
-      ASSERT_EQ(laned.sim.executed_events(), reference.sim.executed_events())
-          << seed_msg(seed);
-      ASSERT_EQ(laned.sim.pending_events(), reference.sim.pending_events())
-          << seed_msg(seed);
-    }
-    laned.sim.run();
-    reference.sim.run();
-    EXPECT_EQ(laned.fired, reference.fired) << seed_msg(seed);
-    ASSERT_FALSE(checker.violation().has_value())
-        << *checker.violation() << seed_msg(seed);
-    if (auto leak = fuzz::check_drained(laned.sim)) {
-      FAIL() << *leak << seed_msg(seed);
-    }
   }
 }
 
