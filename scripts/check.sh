@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Full verification: the tier-1 build + test pass, then the same test suite
-# under AddressSanitizer + UndefinedBehaviorSanitizer, then the threaded
-# runner tests under ThreadSanitizer (separate build dir per sanitizer —
-# sanitized objects are not ABI-compatible with each other or the plain
-# build; TSan in particular excludes ASan).
+# Full verification: the tier-1 build + test pass, then the simulator's
+# bit-exactness against the recorded sweep digests, then the same test
+# suite under AddressSanitizer + UndefinedBehaviorSanitizer, then the
+# threaded runner tests under ThreadSanitizer (separate build dir per
+# sanitizer — sanitized objects are not ABI-compatible with each other or
+# the plain build; TSan in particular excludes ASan).
 #
-#   scripts/check.sh            # tier-1 + ASan/UBSan + TSan
+#   scripts/check.sh            # tier-1 + digests + ASan/UBSan + TSan
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Exits non-zero on the first failure.
@@ -35,9 +36,34 @@ bench_bin=$(pwd)/build/bench/bench_fig3b_push_amount
 echo "warm-cache verify pass OK"
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "=== OK (fast mode: sanitizer pass skipped) ==="
+  echo "=== OK (fast mode: digest and sanitizer passes skipped) ==="
   exit 0
 fi
+
+echo "=== sweep digests: seeds 0-3 of both sweeps (.bench_build/h2bench) ==="
+# Every simulated result must stay bit-exact: the benchmark binary, built
+# the way h2bench/run.py builds it (Release), reproduces the digest
+# h2bench/digests.txt records for each (workload, seed).
+bench_build=.bench_build/h2bench
+if [[ ! -f "$bench_build/CMakeCache.txt" ]]; then
+  generator=()
+  if command -v ninja >/dev/null; then generator=(-G Ninja); fi
+  cmake -S h2bench -B "$bench_build" -DCMAKE_BUILD_TYPE=Release \
+    "${generator[@]}" >/dev/null
+fi
+cmake --build "$bench_build" -j "$(( jobs < 4 ? jobs : 4 ))" --target h2bench
+for workload in sweep-fig2b sweep-nopush; do
+  for seed in 0 1 2 3; do
+    expected=$(grep "^$workload $seed " h2bench/digests.txt)
+    actual=$("$bench_build/h2bench" --print-digest --workload "$workload" \
+      --seed "$seed")
+    if [[ "$actual" != "$expected" ]]; then
+      echo "digest mismatch: want '$expected', got '$actual'" >&2
+      exit 1
+    fi
+  done
+done
+echo "8 sweep digests match"
 
 echo "=== sanitizers: ASan + UBSan incl. fuzz smoke (build-asan/) ==="
 # The suite includes the seeded mini-fuzz tier (tests/fuzz_*), so this stage

@@ -6,6 +6,7 @@
 #include "h2/cache_digest.h"
 #include "http/url.h"
 #include "trace/trace.h"
+#include "util/pump.h"
 #include "util/strings.h"
 
 namespace h2push::browser {
@@ -200,11 +201,7 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
 
 void FetchManager::pump(Group& g) {
   if (!g.connected || !g.transport) return;
-  while (g.transport->writable() && g.conn->want_write()) {
-    auto bytes = g.conn->produce(g.transport->write_chunk());
-    if (bytes.empty()) break;
-    g.transport->send(bytes);
-  }
+  util::pump(*g.conn, util::StagedSink{*g.transport, staging_});
 }
 
 void FetchManager::trace_fetch_begin(Fetch& fetch) {
@@ -286,11 +283,7 @@ void FetchManager::handle_response_headers(
 
 void FetchManager::h1_pump(H1Conn& c) {
   if (!c.connected || !c.transport) return;
-  while (c.transport->writable() && c.conn->want_write()) {
-    auto bytes = c.conn->produce(c.transport->write_chunk());
-    if (bytes.empty()) break;
-    c.transport->send(bytes);
-  }
+  util::pump(*c.conn, util::StagedSink{*c.transport, staging_});
 }
 
 void FetchManager::h1_dispatch(Group& g) {

@@ -183,6 +183,8 @@ class FetchManager {
   std::uint64_t total_bytes_ = 0;
   std::size_t promises_received_ = 0;
   std::size_t pushes_cancelled_ = 0;
+  /// Produce buffer reused by every connection's pump (util/pump.h).
+  std::vector<std::uint8_t> staging_;
 };
 
 }  // namespace h2push::browser

@@ -11,6 +11,7 @@
 #include "sim/tcp.h"
 #include "stats/descriptive.h"
 #include "trace/trace.h"
+#include "util/pump.h"
 
 namespace h2push::core {
 namespace {
@@ -18,18 +19,19 @@ namespace {
 using sim::TcpConnection;
 
 /// One client↔server TCP session: the browser-facing ClientTransport plus
-/// the server-side H2 endpoint it terminates at.
+/// the server-side endpoint it terminates at — a ReplayServer (H2) or an
+/// H1ReplayServer (the HTTP/1.1 baseline arm).
+template <class Server>
 class SimTransport final : public browser::ClientTransport {
  public:
   SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
                sim::Route up, sim::Route down,
-               server::ReplayServer::Config server_config, util::Rng rng,
+               typename Server::Config server_config, util::Rng rng,
                sim::Time connect_stagger)
-      : sim_(sim), server_(sim, server_config, rng),
+      : sim_(sim), server_(&sim, server_config, rng),
         connect_stagger_(connect_stagger) {
     TcpConnection::Callbacks callbacks;
     callbacks.on_connected = [this] {
-      connected_ = true;
       if (on_connected_) on_connected_();
     };
     callbacks.on_accepted = [this] { pump_server(); };
@@ -51,9 +53,12 @@ class SimTransport final : public browser::ClientTransport {
     };
     tcp_ = std::make_unique<TcpConnection>(sim_, tcp_config, up, down,
                                            std::move(callbacks));
-    if (server_config.trace != nullptr) {
-      // TCP counters share the server session's track: cwnd next to frames.
-      tcp_->set_trace(server_config.trace, server_config.trace_track);
+    if constexpr (requires { server_config.trace; }) {  // H1: untraced
+      if (server_config.trace != nullptr) {
+        // TCP counters share the server session's track: cwnd next to
+        // frames.
+        tcp_->set_trace(server_config.trace, server_config.trace_track);
+      }
     }
     server_.set_write_ready([this] { pump_server(); });
   }
@@ -75,7 +80,7 @@ class SimTransport final : public browser::ClientTransport {
   bool writable() const override {
     return tcp_->writable(TcpConnection::Side::kClient);
   }
-  std::size_t write_chunk() const override { return 2 * 1460; }
+  std::size_t write_chunk() const override { return kWriteChunk; }
   void set_receiver(
       std::function<void(std::span<const std::uint8_t>)> receiver) override {
     receiver_ = std::move(receiver);
@@ -87,106 +92,33 @@ class SimTransport final : public browser::ClientTransport {
     return tcp_->connect_end_time();
   }
 
-  server::ReplayServer& server() { return server_; }
   const TcpConnection& tcp() const { return *tcp_; }
 
  private:
-  void pump_server() {
-    auto& conn = server_.connection();
-    while (tcp_->writable(TcpConnection::Side::kServer) &&
-           conn.want_write()) {
-      auto bytes = conn.produce(write_chunk());
-      if (bytes.empty()) break;
-      tcp_->send(TcpConnection::Side::kServer, bytes);
+  static constexpr std::size_t kWriteChunk = 2 * 1460;  // the TCP watermark
+
+  /// The server's end of the session, as the writer its pump drains into.
+  struct ServerWriter {
+    TcpConnection& tcp;
+    bool writable() const {
+      return tcp.writable(TcpConnection::Side::kServer);
     }
+    std::size_t write_chunk() const { return kWriteChunk; }
+    void send(std::span<const std::uint8_t> bytes) {
+      tcp.send(TcpConnection::Side::kServer, bytes);
+    }
+  };
+
+  void pump_server() {
+    ServerWriter writer{*tcp_};
+    util::pump(server_.connection(), util::StagedSink{writer, staging_});
   }
 
   sim::Simulator& sim_;
-  server::ReplayServer server_;
+  Server server_;
   std::unique_ptr<TcpConnection> tcp_;
   sim::Time connect_stagger_ = 0;
-  bool connected_ = false;
-  std::function<void()> on_connected_;
-  std::function<void(std::span<const std::uint8_t>)> receiver_;
-  std::function<void()> writable_cb_;
-};
-
-/// Same glue for the HTTP/1.1 baseline arm: the server side terminates in
-/// an H1ReplayServer instead of the H2 endpoint.
-class H1SimTransport final : public browser::ClientTransport {
- public:
-  H1SimTransport(sim::Simulator& sim, sim::TcpConfig tcp_config,
-                 sim::Route up, sim::Route down,
-                 server::H1ReplayServer::Config server_config, util::Rng rng,
-                 sim::Time connect_stagger)
-      : sim_(sim), server_(sim, server_config, rng),
-        connect_stagger_(connect_stagger) {
-    TcpConnection::Callbacks callbacks;
-    callbacks.on_connected = [this] {
-      if (on_connected_) on_connected_();
-    };
-    callbacks.on_receive = [this](TcpConnection::Side side,
-                                  std::span<const std::uint8_t> bytes) {
-      if (side == TcpConnection::Side::kServer) {
-        server_.connection().receive(bytes);
-        pump_server();
-      } else if (receiver_) {
-        receiver_(bytes);
-      }
-    };
-    callbacks.on_writable = [this](TcpConnection::Side side) {
-      if (side == TcpConnection::Side::kServer) {
-        pump_server();
-      } else if (writable_cb_) {
-        writable_cb_();
-      }
-    };
-    tcp_ = std::make_unique<TcpConnection>(sim_, tcp_config, up, down,
-                                           std::move(callbacks));
-    server_.set_write_ready([this] { pump_server(); });
-  }
-
-  void connect(std::function<void()> on_connected) override {
-    on_connected_ = std::move(on_connected);
-    if (connect_stagger_ > 0) {
-      sim_.schedule_in(connect_stagger_, [this] { tcp_->connect(); });
-    } else {
-      tcp_->connect();
-    }
-  }
-  void send(std::span<const std::uint8_t> bytes) override {
-    tcp_->send(TcpConnection::Side::kClient, bytes);
-  }
-  bool writable() const override {
-    return tcp_->writable(TcpConnection::Side::kClient);
-  }
-  std::size_t write_chunk() const override { return 2 * 1460; }
-  void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) override {
-    receiver_ = std::move(receiver);
-  }
-  void set_writable_callback(std::function<void()> cb) override {
-    writable_cb_ = std::move(cb);
-  }
-  sim::Time connect_end_time() const override {
-    return tcp_->connect_end_time();
-  }
-
- private:
-  void pump_server() {
-    auto& conn = server_.connection();
-    while (tcp_->writable(TcpConnection::Side::kServer) &&
-           conn.want_write()) {
-      auto bytes = conn.produce(write_chunk());
-      if (bytes.empty()) break;
-      tcp_->send(TcpConnection::Side::kServer, bytes);
-    }
-  }
-
-  sim::Simulator& sim_;
-  server::H1ReplayServer server_;
-  std::unique_ptr<TcpConnection> tcp_;
-  sim::Time connect_stagger_ = 0;
+  std::vector<std::uint8_t> staging_;  // the server side's produce buffer
   std::function<void()> on_connected_;
   std::function<void(std::span<const std::uint8_t>)> receiver_;
   std::function<void()> writable_cb_;
@@ -243,7 +175,8 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   util::Rng rtt_rng = master.fork("rtt");
   util::Rng think_rng = master.fork("think");
-  std::vector<const SimTransport*> transports;
+  // H2 sessions only: the H1 arm has never counted retransmissions.
+  std::vector<const SimTransport<server::ReplayServer>*> transports;
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =
@@ -281,13 +214,11 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
       server::H1ReplayServer::Config h1c;
       h1c.store = site.store.get();
       h1c.think_time_mean = sample.server_think_mean;
-      return std::make_unique<H1SimTransport>(sim, tcp_config, up, down, h1c,
-                                              think_rng.fork(host), stagger);
+      return std::make_unique<SimTransport<server::H1ReplayServer>>(
+          sim, tcp_config, up, down, h1c, think_rng.fork(host), stagger);
     }
-    auto transport = std::make_unique<SimTransport>(sim, tcp_config, up,
-                                                    down, sc,
-                                                    think_rng.fork(host),
-                                                    stagger);
+    auto transport = std::make_unique<SimTransport<server::ReplayServer>>(
+        sim, tcp_config, up, down, sc, think_rng.fork(host), stagger);
     transports.push_back(transport.get());
     return transport;
   };

@@ -277,17 +277,38 @@ bool Connection::want_write() const {
 std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
   std::vector<std::uint8_t> out;
   out.reserve(max_bytes);
+  produce_into(out, max_bytes, util::WriteCap::kSoft);
+  return out;
+}
+
+std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
+                                     std::size_t max_bytes,
+                                     util::WriteCap cap) {
+  const bool hard = cap == util::WriteCap::kHard;
+  const std::size_t start = out.size();
+  const auto used = [&] { return out.size() - start; };
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
-  //    not flow controlled, sent ahead of DATA like real stacks do. A front
-  //    chunk partially drained by produce_into() resumes at its offset.
-  while (!control_queue_.empty() && out.size() < max_bytes) {
-    auto& chunk = control_queue_.front();
-    out.insert(out.end(), chunk.begin() + control_offset_, chunk.end());
-    control_offset_ = 0;
-    control_queue_.pop_front();
+  //    not flow controlled, sent ahead of DATA like real stacks do. Under
+  //    the hard cap a chunk is split at byte granularity and the next call
+  //    resumes it at control_offset_; under the soft cap it goes out whole.
+  while (!control_queue_.empty() && used() < max_bytes) {
+    const auto& chunk = control_queue_.front();
+    std::size_t take = chunk.size() - control_offset_;
+    if (hard) take = std::min(take, max_bytes - used());
+    const auto begin =
+        chunk.begin() + static_cast<std::ptrdiff_t>(control_offset_);
+    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
+    control_offset_ += take;
+    if (control_offset_ == chunk.size()) {
+      control_queue_.pop_front();
+      control_offset_ = 0;
+    }
   }
-  // 2. Scheduler-chosen DATA frames.
-  while (out.size() < max_bytes) {
+  // 2. Scheduler-chosen DATA frames. Under the hard cap each frame is sized
+  //    to the budget left, and a frame needs its 9-byte header plus one
+  //    payload byte to be worth emitting: below that we stop and wait for
+  //    the sink to drain.
+  while (hard ? max_bytes - used() > kFrameHeaderSize : used() < max_bytes) {
     const std::uint32_t id =
         scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
     if (id == 0) break;
@@ -304,6 +325,7 @@ std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
     n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
     n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
     n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
+    if (hard) n = std::min(n, max_bytes - used() - kFrameHeaderSize);
     // data_ready() guarantees n > 0 for every setting this connection can
     // reach, but an unvalidated limit reaching 0 here would emit empty
     // DATA frames forever (the NDEBUG builds used to rely on a compiled-out
@@ -340,81 +362,7 @@ std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
       maybe_close(id);
     }
   }
-  return out;
-}
-
-std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
-                                     std::size_t max_bytes) {
-  const std::size_t start = out.size();
-  std::size_t budget = max_bytes;
-  // Control frames first (same policy as produce()), but split at byte
-  // granularity so `max_bytes` is a hard cap: the socket buffer the net
-  // layer fills has a fixed high watermark and cannot absorb overshoot.
-  while (!control_queue_.empty() && budget > 0) {
-    const auto& chunk = control_queue_.front();
-    const std::size_t take =
-        std::min<std::size_t>(chunk.size() - control_offset_, budget);
-    const auto begin = chunk.begin() + static_cast<std::ptrdiff_t>(
-                                           control_offset_);
-    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
-    control_offset_ += take;
-    budget -= take;
-    if (control_offset_ == chunk.size()) {
-      control_queue_.pop_front();
-      control_offset_ = 0;
-    }
-  }
-  // Scheduler-chosen DATA, each frame sized to the remaining budget. A
-  // frame needs its 9-byte header plus at least one payload byte to be
-  // worth emitting; below that we stop and wait for the buffer to drain.
-  while (budget > kFrameHeaderSize) {
-    const std::uint32_t id =
-        scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
-    if (id == 0) break;
-    if (trace_ && id != last_data_stream_) {
-      trace_->instant(trace_track_, "h2", "data.switch",
-                      {{"from", last_data_stream_}, {"to", id}});
-      last_data_stream_ = id;
-    }
-    Stream& s = streams_.at(id);
-    const std::size_t remaining = s.body->size() - s.body_offset;
-    std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
-    n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
-    n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
-    n = std::min<std::size_t>(n, budget - kFrameHeaderSize);
-    assert(n > 0);
-    if (n == 0) break;
-    const bool end_stream = (n == remaining);
-    const auto* base =
-        reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
-    append_data_frame(out, id, end_stream, {base, n});
-    budget -= kFrameHeaderSize + n;
-    s.body_offset += n;
-    s.send_window -= static_cast<std::int64_t>(n);
-    send_window_ -= static_cast<std::int64_t>(n);
-    s.data_sent += n;
-    total_data_sent_ += n;
-    scheduler_->on_data_sent(id, n);
-    if (trace_) {
-      trace_->instant(trace_track_, "h2", "send DATA",
-                      {{"stream", id},
-                       {"bytes", n},
-                       {"end_stream", end_stream ? 1 : 0}});
-      ++trace_->summary().frames_sent["DATA"];
-      trace_->counter(trace_track_, "h2", "conn_send_window",
-                      static_cast<double>(send_window_));
-    }
-    if (end_stream) {
-      s.body_pending = false;
-      s.local_done = true;
-      s.end_queued = true;
-      s.body.reset();
-      scheduler_->on_stream_finished(id);
-      maybe_close(id);
-    }
-  }
-  return out.size() - start;
+  return used();
 }
 
 void Connection::maybe_close(std::uint32_t id) {

@@ -26,6 +26,7 @@
 #include "h2/hpack.h"
 #include "h2/priority.h"
 #include "http/message.h"
+#include "util/pump.h"
 
 namespace h2push::trace {
 class TraceRecorder;
@@ -126,18 +127,24 @@ class Connection {
   /// even flow-control-blocked data want_write() would not report. The
   /// drain-safe close condition for the live daemon.
   bool send_quiescent() const;
-  /// Produce up to ~max_bytes of wire bytes (may overshoot by one frame so
-  /// frames are never split across scheduling decisions).
-  std::vector<std::uint8_t> produce(std::size_t max_bytes);
-  /// Partial-write variant for bounded socket buffers (src/net/): appends
-  /// at most `max_bytes` bytes to `out` — a hard cap, never an overshoot.
-  /// Control frames are split at byte granularity across calls (the
-  /// continuation resumes mid-frame on the next call); DATA frames are
-  /// sized down to the remaining budget. Returns the bytes appended. When
-  /// it returns 0 with want_write() still true, the budget was too small
-  /// to fit a DATA frame header — call again once the socket drains.
+  /// Append up to `max_bytes` of wire bytes to `out` — control frames
+  /// first, then scheduler-chosen DATA — and return the count appended.
+  /// One emitter, two cap policies (util/pump.h), picked by the sink that
+  /// is writing:
+  ///  - kSoft (the simulator's TCP sides): whole control chunks and DATA
+  ///    frames while under the budget, so a call may overshoot by one
+  ///    control chunk or one DATA frame (9 + peer max frame size bytes);
+  ///    frames are never split across scheduling decisions.
+  ///  - kHard (live socket buffers, src/net/): never more than `max_bytes`.
+  ///    Control frames are split at byte granularity (the next call
+  ///    resumes mid-frame); DATA frames are sized down to the budget left.
+  ///    A return of 0 with want_write() still true means the budget could
+  ///    not fit a DATA frame header — call again once the sink drains.
   std::size_t produce_into(std::vector<std::uint8_t>& out,
-                           std::size_t max_bytes);
+                           std::size_t max_bytes,
+                           util::WriteCap cap = util::WriteCap::kHard);
+  /// produce_into under the soft cap, into a fresh vector.
+  std::vector<std::uint8_t> produce(std::size_t max_bytes);
 
   /// Replace the DATA scheduler (server side: interleaving experiments).
   /// Must be called before any stream exists.
@@ -232,7 +239,7 @@ class Connection {
   std::uint64_t recv_unacked_ = 0;
 
   std::deque<std::vector<std::uint8_t>> control_queue_;
-  std::size_t control_offset_ = 0;  // produce_into: bytes already emitted
+  std::size_t control_offset_ = 0;  // hard cap: bytes already emitted
                                     // from the front control chunk
   std::vector<std::uint8_t> hpack_scratch_;  // reused per header block
   std::uint64_t total_data_sent_ = 0;

@@ -15,9 +15,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "http/message.h"
+#include "util/pump.h"
 
 namespace h2push::http1 {
 
@@ -59,11 +61,33 @@ class MessageParser {
   bool error_ = false;
 };
 
+/// The write side both endpoints share: serialized messages queued for the
+/// transport and drained from a read offset, so draining a response costs
+/// O(size) however small the transport's chunks (an erase-from-front drain
+/// is quadratic in the body size). The pump's source interface
+/// (util/pump.h).
+class Outbox {
+ public:
+  bool want_write() const noexcept { return read_ < queued_.size(); }
+  /// Append up to `max_bytes` queued bytes to `out`; returns the count. A
+  /// text stream cuts at any byte, so both cap policies are exact.
+  std::size_t produce_into(std::vector<std::uint8_t>& out,
+                           std::size_t max_bytes,
+                           util::WriteCap = util::WriteCap::kHard);
+
+ protected:
+  void queue_bytes(std::string_view bytes) { queued_ += bytes; }
+
+ private:
+  std::string queued_;
+  std::size_t read_ = 0;  // bytes of queued_ already produced
+};
+
 /// A client-side H1.1 connection: serial request/response over one stream
 /// of bytes (keep-alive, no pipelining — matching 2018 browsers). Response
 /// bodies stream to the caller as they arrive, so the renderer can parse
 /// the HTML incrementally exactly as it does over H2.
-class ClientConnection {
+class ClientConnection : public Outbox {
  public:
   struct Callbacks {
     std::function<void(const http::HeaderBlock&, int status)> on_headers;
@@ -83,8 +107,6 @@ class ClientConnection {
   std::size_t queued() const noexcept { return queue_.size(); }
 
   void receive(std::span<const std::uint8_t> bytes);
-  bool want_write() const noexcept { return !outbox_.empty(); }
-  std::vector<std::uint8_t> produce(std::size_t max_bytes);
 
  private:
   void send_next();
@@ -92,7 +114,6 @@ class ClientConnection {
   Callbacks callbacks_;
   std::deque<http::Request> queue_;
   bool in_flight_ = false;
-  std::string outbox_;
   // Incremental response state.
   std::string inbox_;
   bool reading_body_ = false;
@@ -100,7 +121,7 @@ class ClientConnection {
 };
 
 /// Server side: parses requests, application responds in order.
-class ServerConnection {
+class ServerConnection : public Outbox {
  public:
   struct Callbacks {
     std::function<void(const MessageParser::Message&)> on_request;
@@ -113,13 +134,10 @@ class ServerConnection {
   void submit_response(const http::Response& head, const std::string& body);
 
   void receive(std::span<const std::uint8_t> bytes);
-  bool want_write() const noexcept { return !outbox_.empty(); }
-  std::vector<std::uint8_t> produce(std::size_t max_bytes);
 
  private:
   Callbacks callbacks_;
   MessageParser parser_;
-  std::string outbox_;
 };
 
 }  // namespace h2push::http1

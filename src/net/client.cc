@@ -15,6 +15,7 @@
 #include "net/event_loop.h"
 #include "net/transport.h"
 #include "util/posix.h"
+#include "util/pump.h"
 
 namespace h2push::net {
 namespace {
@@ -297,14 +298,7 @@ class LoadConnection {
     pump();
   }
 
-  void pump() {
-    while (transport_->open()) {
-      const std::size_t budget = transport_->writable_budget();
-      if (budget == 0) break;
-      if (conn_->produce_into(transport_->write_tail(), budget) == 0) break;
-      transport_->flush();
-    }
-  }
+  void pump() { util::pump(*conn_, *transport_); }
 
   Shared& shared_;
   std::unique_ptr<h2::Connection> conn_;

@@ -7,6 +7,7 @@
 #include "trace/chrome_trace.h"
 #include "trace/trace.h"
 #include "util/posix.h"
+#include "util/pump.h"
 
 namespace h2push::net {
 
@@ -17,9 +18,6 @@ struct Server::Worker {
   int index = 0;
   EventLoop loop;
   std::unique_ptr<Listener> listener;
-  /// Think-time clock for ReplayServer; never stepped (live serving uses
-  /// zero think time), shared by every session on this thread.
-  sim::Simulator sim;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions;
   std::uint64_t next_session_id = 1;
   bool draining = false;
@@ -59,10 +57,10 @@ class Server::Session {
     sc.policies = cfg.policies;
     sc.interleaving = cfg.scheduler == SchedulerKind::kInterleaving;
     sc.default_authority = cfg.default_authority;
-    sc.think_time_mean = 0;
     sc.trace = trace_.get();
     sc.trace_track = track_;
-    replay_ = std::make_unique<server::ReplayServer>(worker_.sim, sc,
+    // Live serving has no think time, so no simulator to schedule it on.
+    replay_ = std::make_unique<server::ReplayServer>(nullptr, sc,
                                                      util::Rng(id));
     replay_->set_write_ready([this] { pump(); });
 
@@ -123,22 +121,17 @@ class Server::Session {
 
   void begin_drain() {
     draining_ = true;
+    touch();
     replay_->connection().submit_goaway();
     pump();
   }
 
  private:
-  /// Move frames codec → socket buffer while the watermark allows.
+  /// Move frames codec → socket buffer while the watermark allows. Every
+  /// caller (setup, a read, a socket drain, begin_drain) has just refreshed
+  /// the idle clock.
   void pump() {
-    while (transport_->open()) {
-      const std::size_t budget = transport_->writable_budget();
-      if (budget == 0) break;
-      const std::size_t produced = replay_->connection().produce_into(
-          transport_->write_tail(), budget);
-      if (produced == 0) break;
-      touch();
-      transport_->flush();
-    }
+    util::pump(replay_->connection(), *transport_);
     if (draining_ && transport_->open() &&
         replay_->connection().send_quiescent() && transport_->pending() == 0) {
       transport_->close("drained");

@@ -6,9 +6,9 @@
 // nonblocking socket, watermark backpressure) driving a server::ReplayServer
 // — the same session logic, stream schedulers, and push policies the
 // simulator exercises, now over real TCP. Frames leave the codec through
-// h2::Connection::produce_into sized to the transport's write budget, so
-// per-connection memory stays bounded no matter how large the pushed
-// responses are.
+// the byte pump (util/pump.h) under the hard cap, sized to the transport's
+// write budget, so per-connection memory stays bounded no matter how large
+// the pushed responses are.
 //
 // Lifecycle: start() binds and spawns the threads; shutdown() performs a
 // graceful drain (stop accepting, GOAWAY on every connection, close as
@@ -28,7 +28,6 @@
 #include "net/listener.h"
 #include "net/transport.h"
 #include "server/replay_server.h"
-#include "sim/simulator.h"
 
 namespace h2push::net {
 

@@ -5,13 +5,14 @@
 // session callback; the write side buffers frames and flushes
 // opportunistically, registering EPOLLOUT only while bytes are pending.
 //
-// Backpressure contract: the session asks writable_budget() before pulling
-// frames out of the H2 codec (Connection::produce_into) and stops at zero;
-// once the kernel drains the buffer below the low watermark the transport
-// fires on_drained and the session pulls again. This bounds per-connection
-// memory at high_watermark + one read chunk regardless of response sizes —
-// the unbounded-buffer assumption the simulator used to make is exactly
-// what this replaces.
+// Backpressure contract: a Transport is a pump sink (util/pump.h). The
+// session pumps frames out of the H2 codec straight into the write buffer
+// under the hard cap, sized to budget(), and stops at zero; once the kernel
+// drains the buffer below the low watermark the transport fires on_drained
+// and the session pumps again. This bounds per-connection memory at
+// high_watermark + one read chunk regardless of response sizes — the
+// unbounded-buffer assumption the simulator used to make is exactly what
+// this replaces.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +22,7 @@
 
 #include "net/buffer.h"
 #include "net/event_loop.h"
+#include "util/pump.h"
 
 namespace h2push::net {
 
@@ -48,21 +50,27 @@ class Transport {
   Transport(const Transport&) = delete;
   Transport& operator=(const Transport&) = delete;
 
-  /// Bytes the session may still queue before hitting the high watermark.
-  std::size_t writable_budget() const noexcept {
-    return out_.size() >= config_.high_watermark
-               ? 0
-               : config_.high_watermark - out_.size();
-  }
   std::size_t pending() const noexcept { return out_.size(); }
   bool open() const noexcept { return fd_ >= 0; }
   int fd() const noexcept { return fd_; }
 
   /// Queue bytes and flush what the socket will take right now.
   void write(std::span<const std::uint8_t> bytes);
-  /// Append-access for zero-copy produce_into, then call flush().
-  std::vector<std::uint8_t>& write_tail() noexcept { return out_.tail(); }
   void flush();
+
+  // --- pump sink (util/pump.h) ---
+  /// A watermark is a memory bound: the codec must never overshoot it.
+  static constexpr util::WriteCap kCap = util::WriteCap::kHard;
+  /// Bytes the session may still queue before hitting the high watermark
+  /// (none once closed).
+  std::size_t budget() const noexcept {
+    if (!open() || out_.size() >= config_.high_watermark) return 0;
+    return config_.high_watermark - out_.size();
+  }
+  /// The source appends straight into the write buffer (no copy)...
+  std::vector<std::uint8_t>& buffer() noexcept { return out_.tail(); }
+  /// ...which already holds the bytes: just flush.
+  void commit(std::span<const std::uint8_t>) { flush(); }
 
   /// Close immediately, firing on_closed(reason) (idempotent).
   void close(const std::string& reason);

@@ -1,10 +1,18 @@
 #include "server/h1_replay_server.h"
 
+#include <stdexcept>
+
+#include "sim/simulator.h"
+
 namespace h2push::server {
 
-H1ReplayServer::H1ReplayServer(sim::Simulator& sim, Config config,
+H1ReplayServer::H1ReplayServer(sim::Simulator* sim, Config config,
                                util::Rng rng)
     : sim_(sim), config_(config), rng_(rng) {
+  if (config_.think_time_mean > 0 && sim_ == nullptr) {
+    throw std::invalid_argument(
+        "H1ReplayServer: think time needs a simulator");
+  }
   http1::ServerConnection::Callbacks cbs;
   cbs.on_request = [this](const http1::MessageParser::Message& request) {
     on_request(request);
@@ -32,7 +40,7 @@ void H1ReplayServer::on_request(
   if (config_.think_time_mean > 0) {
     const auto think = static_cast<sim::Time>(
         rng_.exponential(static_cast<double>(config_.think_time_mean)));
-    sim_.schedule_in(think, respond);
+    sim_->schedule_in(think, respond);
   } else {
     respond();
   }

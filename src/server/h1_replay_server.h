@@ -9,8 +9,12 @@
 
 #include "http1/connection.h"
 #include "replay/record.h"
-#include "sim/simulator.h"
+#include "sim/time.h"
 #include "util/rng.h"
+
+namespace h2push::sim {
+class Simulator;
+}
 
 namespace h2push::server {
 
@@ -21,7 +25,10 @@ class H1ReplayServer {
     sim::Time think_time_mean = 0;
   };
 
-  H1ReplayServer(sim::Simulator& sim, Config config, util::Rng rng);
+  /// `sim` schedules server think time; it may be null when
+  /// think_time_mean is 0 (the live daemon), and a positive think time
+  /// without one throws std::invalid_argument.
+  H1ReplayServer(sim::Simulator* sim, Config config, util::Rng rng);
 
   http1::ServerConnection& connection() { return *conn_; }
   void set_write_ready(std::function<void()> cb) {
@@ -31,7 +38,7 @@ class H1ReplayServer {
  private:
   void on_request(const http1::MessageParser::Message& request);
 
-  sim::Simulator& sim_;
+  sim::Simulator* sim_;
   Config config_;
   util::Rng rng_;
   std::unique_ptr<http1::ServerConnection> conn_;

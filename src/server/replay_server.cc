@@ -1,12 +1,18 @@
 #include "server/replay_server.h"
 
+#include <stdexcept>
+
 #include "http/url.h"
+#include "sim/simulator.h"
 #include "trace/trace.h"
 
 namespace h2push::server {
 
-ReplayServer::ReplayServer(sim::Simulator& sim, Config config, util::Rng rng)
+ReplayServer::ReplayServer(sim::Simulator* sim, Config config, util::Rng rng)
     : sim_(sim), config_(config), rng_(rng) {
+  if (config_.think_time_mean > 0 && sim_ == nullptr) {
+    throw std::invalid_argument("ReplayServer: think time needs a simulator");
+  }
   h2::Connection::Config cc;
   cc.role = h2::Role::kServer;
   h2::Connection::Callbacks cbs;
@@ -99,7 +105,7 @@ void ReplayServer::on_request(std::uint32_t stream,
   if (config_.think_time_mean > 0) {
     const auto think = static_cast<sim::Time>(
         rng_.exponential(static_cast<double>(config_.think_time_mean)));
-    sim_.schedule_in(think, respond_now);
+    sim_->schedule_in(think, respond_now);
   } else {
     respond_now();
   }

@@ -22,8 +22,12 @@
 #include "replay/origin.h"
 #include "replay/record.h"
 #include "server/interleaving.h"
-#include "sim/simulator.h"
+#include "sim/time.h"
 #include "util/rng.h"
+
+namespace h2push::sim {
+class Simulator;
+}
 
 namespace h2push::server {
 
@@ -82,13 +86,17 @@ class ReplayServer {
     std::uint32_t trace_track = 0;
   };
 
-  ReplayServer(sim::Simulator& sim, Config config, util::Rng rng);
+  /// `sim` schedules server think time; it may be null when
+  /// think_time_mean is 0 (the live daemon), and a positive think time
+  /// without one throws std::invalid_argument.
+  ReplayServer(sim::Simulator* sim, Config config, util::Rng rng);
 
-  /// The server-side H2 endpoint; the testbed wires its produce()/receive()
-  /// to the TCP model.
+  /// The server-side H2 endpoint: the pump source (util/pump.h) for the
+  /// testbed's TCP model and the live daemon's socket transport.
   h2::Connection& connection() { return *conn_; }
 
-  /// Set by the testbed: called when the endpoint has bytes to flush.
+  /// Set by the transport glue: called when the endpoint has bytes to
+  /// flush.
   void set_write_ready(std::function<void()> cb) {
     write_ready_ = std::move(cb);
   }
@@ -114,7 +122,7 @@ class ReplayServer {
   void apply_push_policy(std::uint32_t parent_stream,
                          const PushPolicy& policy);
 
-  sim::Simulator& sim_;
+  sim::Simulator* sim_;
   Config config_;
   util::Rng rng_;
   std::unique_ptr<h2::Connection> conn_;

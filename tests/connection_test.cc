@@ -335,28 +335,41 @@ TEST(Connection, GarbageInputRaisesConnectionError) {
   EXPECT_FALSE(p.server->last_error().empty());
 }
 
-// --- produce_into: the bounded-buffer variant used by src/net/ ---
+// --- produce_into: one emitter, two cap policies ---
 //
-// The simulator's testbed calls produce(); the live daemon calls
-// produce_into(). These regression tests pin down that (a) produce() is
-// bit-exact unchanged, (b) produce_into never exceeds its byte budget, and
-// (c) a connection drained through arbitrarily small budgets still delivers
-// exactly the same bodies.
+// The simulator's TCP sides drain the server under the soft cap, the live
+// daemon's socket transport under the hard cap (util/pump.h; the sink picks
+// the policy). These regression tests pin down that (a) produce() is
+// bit-exact unchanged, (b) the hard cap never exceeds its byte budget,
+// (c) the soft cap overshoots by at most one control chunk or one DATA
+// frame, and (d) a connection drained through arbitrarily small budgets,
+// under either policy, still delivers exactly the same bodies.
 
 namespace {
+/// A body whose bytes depend on their offset, so a misplaced slice shows.
+std::string patterned(std::size_t n) {
+  std::string body(n, '\0');
+  for (std::size_t i = 0; i < n; ++i) {
+    body[i] = static_cast<char>('a' + i % 26);
+  }
+  return body;
+}
+
 /// Drive one request/response exchange, draining the server through
-/// `produce` when cap == 0, through produce_into(cap) otherwise; returns
-/// the server's full wire byte stream.
-std::vector<std::uint8_t> drain_server_wire(std::size_t body_size,
-                                            std::size_t cap) {
+/// `produce` when cap == 0, through produce_into(cap, policy) otherwise;
+/// returns the server's full wire byte stream.
+std::vector<std::uint8_t> drain_server_wire(
+    std::size_t body_size, std::size_t cap,
+    util::WriteCap policy = util::WriteCap::kHard) {
   Pair p;
   const auto id = p.get("/bytes");
   p.pump();
   http::Response resp;
   resp.status = 200;
   resp.body_size = body_size;
-  p.server->submit_response(id, resp.to_h2_headers(),
-                            Pair::make_body(body_size, 'q'));
+  p.server->submit_response(
+      id, resp.to_h2_headers(),
+      std::make_shared<const std::string>(patterned(body_size)));
   constexpr std::size_t kUnbounded = std::size_t{1} << 22;
   std::vector<std::uint8_t> wire;
   for (int i = 0; i < 100000 && p.server->want_write(); ++i) {
@@ -365,15 +378,39 @@ std::vector<std::uint8_t> drain_server_wire(std::size_t body_size,
       wire.insert(wire.end(), bytes.begin(), bytes.end());
     } else {
       const std::size_t before = wire.size();
-      const std::size_t n = p.server->produce_into(wire, cap);
+      const std::size_t n = p.server->produce_into(wire, cap, policy);
       EXPECT_EQ(n, wire.size() - before);
-      EXPECT_LE(n, cap) << "budget exceeded";
+      if (policy == util::WriteCap::kHard) {
+        EXPECT_LE(n, cap) << "budget exceeded";
+      } else {
+        // Emission stops once the budget is reached, so only the last
+        // control chunk or DATA frame (9 + peer max frame size; the
+        // control chunks here are smaller) can cross it.
+        EXPECT_LT(n, cap + kFrameHeaderSize + kDefaultMaxFrameSize)
+            << "soft cap overshot by more than one frame";
+      }
       if (n == 0) break;  // budget below one DATA header: caller retries
     }
   }
   p.client->receive(wire);
-  EXPECT_EQ(p.body(id), std::string(body_size, 'q'));
+  EXPECT_EQ(p.body(id), patterned(body_size));
   return wire;
+}
+
+/// The DATA payload bytes of a server wire stream, frame boundaries
+/// dropped: what the client's stream delivers.
+std::string data_payload(const std::vector<std::uint8_t>& wire) {
+  FrameParser parser;
+  const auto frames = parser.feed(wire);
+  EXPECT_TRUE(frames.has_value());
+  std::string out;
+  if (!frames) return out;
+  for (const auto& frame : *frames) {
+    if (const auto* data = std::get_if<DataFrame>(&frame)) {
+      out.append(data->data.begin(), data->data.end());
+    }
+  }
+  return out;
 }
 }  // namespace
 
@@ -426,6 +463,29 @@ TEST(Connection, ProduceIntoDeliversSameBodyAcrossChunkings) {
   // (client body == expected). Additionally the tiny-budget stream can
   // only be larger (more frame headers), never smaller.
   EXPECT_GE(a.size(), b.size());
+}
+
+TEST(Connection, SoftCapOvershootsByAtMostOneFrame) {
+  // The simulator's chunk (two MSS, the TCP watermark). Every call's bound
+  // is asserted inside drain_server_wire; whole 16 KB frames make the soft
+  // wire smaller than the hard one, whose frames fit the 2 920 bytes.
+  constexpr std::size_t kSimChunk = 2 * 1460;
+  const auto soft = drain_server_wire(50000, kSimChunk, util::WriteCap::kSoft);
+  const auto hard = drain_server_wire(50000, kSimChunk, util::WriteCap::kHard);
+  EXPECT_LT(soft.size(), hard.size());
+  // produce() is the soft cap into a fresh vector.
+  EXPECT_EQ(drain_server_wire(50000, std::size_t{1} << 22,
+                              util::WriteCap::kSoft),
+            drain_server_wire(50000, 0));
+}
+
+TEST(Connection, SoftCapDeliversSameBodyAsHardCap) {
+  for (const std::size_t cap : {17u, 2920u, 100000u}) {
+    const auto soft = drain_server_wire(30000, cap, util::WriteCap::kSoft);
+    const auto hard = drain_server_wire(30000, cap, util::WriteCap::kHard);
+    EXPECT_EQ(data_payload(soft), data_payload(hard)) << "cap " << cap;
+    EXPECT_EQ(data_payload(soft), patterned(30000));
+  }
 }
 
 TEST(Connection, ProduceIntoInterleavedWithReceiveStaysConsistent) {

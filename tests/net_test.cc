@@ -308,7 +308,7 @@ TEST(TransportTest, WritableBudgetTracksWatermark) {
   config.low_watermark = 256;
   TransportPair pair(config);
   pair.loop.post([&] {
-    EXPECT_EQ(1024u, pair.transport->writable_budget());
+    EXPECT_EQ(1024u, pair.transport->budget());
     // A socketpair absorbs small writes instantly, so the budget right
     // after a flushed write returns to the full watermark.
     pair.transport->write(as_bytes("x"));

@@ -1,10 +1,14 @@
 // Replay-server session tests: request matching, 404s, push policy
 // application (authority filtering, trigger matching, ENABLE_PUSH), server
-// think time, and the corked-response invariant that keeps scheduling
-// decisions with the stream scheduler rather than submission order.
+// think time (and its rejection without a simulator), and the
+// corked-response invariant that keeps scheduling decisions with the
+// stream scheduler rather than submission order.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "h2/connection.h"
+#include "server/h1_replay_server.h"
 #include "server/replay_server.h"
 #include "sim/simulator.h"
 
@@ -13,6 +17,9 @@ namespace {
 
 struct ServerHarness {
   sim::Simulator sim;
+  /// What the server schedules think time on (null: no simulator, as in
+  /// the live daemon).
+  sim::Simulator* server_sim = &sim;
   replay::RecordStore store;
   replay::OriginMap origins;
   std::unique_ptr<ReplayServer> server;
@@ -41,7 +48,7 @@ struct ServerHarness {
     config.origins = &origins;
     config.policy = std::move(policy);
     config.think_time_mean = think;
-    server = std::make_unique<ReplayServer>(sim, config, util::Rng(1));
+    server = std::make_unique<ReplayServer>(server_sim, config, util::Rng(1));
 
     h2::Connection::Config cc;
     cc.role = h2::Role::kClient;
@@ -222,6 +229,35 @@ TEST(ReplayServer, ThinkTimeDelaysResponse) {
   h.settle();  // runs the simulator clock
   EXPECT_EQ(h.bodies[id].size(), 100u);
   EXPECT_GT(h.sim.now(), 0);
+}
+
+TEST(ReplayServer, ServesWithoutSimulatorWhenThereIsNoThinkTime) {
+  ServerHarness h;
+  h.server_sim = nullptr;
+  h.origins.add_host("a.test", "10.0.0.1");
+  h.add_resource("a.test", "/", 100);
+  h.start();
+  const auto id = h.get("a.test", "/");
+  h.settle();
+  EXPECT_EQ(h.statuses[id], 200);
+  EXPECT_EQ(h.bodies[id].size(), 100u);
+  EXPECT_EQ(h.sim.now(), 0);  // nothing was ever scheduled
+}
+
+TEST(ReplayServer, ThinkTimeWithoutSimulatorIsRejected) {
+  // A release-build check, not an assert: a session with think time and
+  // no clock to schedule it on would otherwise dereference null.
+  ServerHarness h;
+  h.server_sim = nullptr;
+  EXPECT_THROW(h.start(std::nullopt, sim::from_ms(40)),
+               std::invalid_argument);
+  H1ReplayServer::Config h1;
+  h1.store = &h.store;
+  h1.think_time_mean = sim::from_ms(40);
+  EXPECT_THROW(H1ReplayServer(nullptr, h1, util::Rng(1)),
+               std::invalid_argument);
+  h1.think_time_mean = 0;
+  EXPECT_NO_THROW(H1ReplayServer(nullptr, h1, util::Rng(1)));
 }
 
 TEST(ReplayServer, PushOrderFollowsPolicyOrder) {
