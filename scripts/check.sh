@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 build + test pass, then the simulator's
-# bit-exactness against the recorded sweep digests, then the same test
+# bit-exactness against the recorded sweep digests and the fig-level
+# goldens (tests/golden/), then the same test
 # suite under AddressSanitizer + UndefinedBehaviorSanitizer, then the
 # threaded runner tests under ThreadSanitizer (separate build dir per
 # sanitizer — sanitized objects are not ABI-compatible with each other or
 # the plain build; TSan in particular excludes ASan).
 #
-#   scripts/check.sh            # tier-1 + digests + ASan/UBSan + TSan
+#   scripts/check.sh            # tier-1 + digests + goldens + ASan/UBSan + TSan
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Exits non-zero on the first failure.
@@ -36,7 +37,7 @@ bench_bin=$(pwd)/build/bench/bench_fig3b_push_amount
 echo "warm-cache verify pass OK"
 
 if [[ "${1:-}" == "--fast" ]]; then
-  echo "=== OK (fast mode: digest and sanitizer passes skipped) ==="
+  echo "=== OK (fast mode: digest, golden and sanitizer passes skipped) ==="
   exit 0
 fi
 
@@ -64,6 +65,28 @@ for workload in sweep-fig2b sweep-nopush; do
   done
 done
 echo "8 sweep digests match"
+
+echo "=== fig-level goldens: interleaving, critical CSS, hints, digests (build/) ==="
+# The digests above only cover the parent-first scheduler. These four
+# benches also run the interleaving hard switch, critical-CSS rewriting,
+# preload hints and cache digests; their stdout, less the wall-clock
+# 'elapsed:' and 'report:' lines, must match tests/golden/<name>.txt.
+golden_benches=(bench_fig5_interleaving bench_ablation_scheduling
+  bench_fig4_custom_strategies bench_ext_cache_digest)
+cmake --build build -j "$jobs" --target "${golden_benches[@]}" >/dev/null
+golden_dir=$(mktemp -d)
+trap 'rm -rf "$cache_dir" "$golden_dir"' EXIT
+bench_dir=$(pwd)/build/bench
+for name in "${golden_benches[@]}"; do
+  (cd "$golden_dir" &&
+    env -u H2PUSH_CACHE "$bench_dir/$name" --quick --jobs 1) |
+    grep -v -e '^elapsed: ' -e '^report: ' >"$golden_dir/$name.txt"
+  if ! diff -u "tests/golden/$name.txt" "$golden_dir/$name.txt"; then
+    echo "golden mismatch: $name" >&2
+    exit 1
+  fi
+done
+echo "${#golden_benches[@]} fig-level goldens match"
 
 echo "=== sanitizers: ASan + UBSan incl. fuzz smoke (build-asan/) ==="
 # The suite includes the seeded mini-fuzz tier (tests/fuzz_*), so this stage

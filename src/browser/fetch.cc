@@ -121,7 +121,6 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
   cbs.on_push_promise = [this, &g](std::uint32_t /*parent*/,
                                    std::uint32_t promised,
                                    http::HeaderBlock request_headers) {
-    ++promises_received_;
     http::Url url;
     url.scheme = std::string(http::find_header(request_headers, ":scheme"));
     url.host = std::string(http::find_header(request_headers, ":authority"));

@@ -122,9 +122,6 @@ class FetchManager {
 
   std::uint64_t pushed_bytes() const noexcept { return pushed_bytes_; }
   std::uint64_t total_body_bytes() const noexcept { return total_bytes_; }
-  std::size_t promises_received() const noexcept {
-    return promises_received_;
-  }
   std::size_t pushes_cancelled() const noexcept { return pushes_cancelled_; }
 
   /// All fetches in initiation order (dependency analysis reads this).
@@ -149,7 +146,6 @@ class FetchManager {
     bool connected = false;
     std::vector<std::shared_ptr<Fetch>> waiting;
     std::map<std::uint32_t, std::shared_ptr<Fetch>> by_stream;
-    std::map<std::string, std::uint32_t> promised_by_url;  // url → stream
     // --- HTTP/1.1 mode ---
     std::vector<std::unique_ptr<H1Conn>> h1_conns;
     std::deque<std::shared_ptr<Fetch>> h1_queue;
@@ -181,7 +177,6 @@ class FetchManager {
   std::function<void()> progress_;
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
-  std::size_t promises_received_ = 0;
   std::size_t pushes_cancelled_ = 0;
   /// Produce buffer reused by every connection's pump (util/pump.h).
   std::vector<std::uint8_t> staging_;

@@ -7,6 +7,7 @@
 
 #include "browser/css.h"
 #include "browser/html.h"
+#include "browser/stylesheet_cache.h"
 #include "http/url.h"
 #include "util/strings.h"
 
@@ -184,8 +185,9 @@ CriticalAnalysis analyze_critical(const web::Site& site,
     const auto* exchange = site.store->find(url->host, url->path);
     if (exchange == nullptr || !exchange->body) continue;
     out.original_css_bytes += exchange->body->size();
-    const auto sheet = browser::parse_css(*exchange->body);
-    for (const auto& rule : sheet.rules) {
+    // Every load of the site parses the same sheets: share the parse.
+    const auto sheet = browser::shared_stylesheet(*exchange->body);
+    for (const auto& rule : sheet->rules) {
       bool is_critical = false;
       for (const auto& path : layout.above_fold_paths) {
         if (browser::matches(rule, path)) {
@@ -203,7 +205,7 @@ CriticalAnalysis analyze_critical(const web::Site& site,
       }
     }
     // @font-face blocks for the families critical rules use.
-    for (const auto& face : sheet.font_faces) {
+    for (const auto& face : sheet->font_faces) {
       if (needed_fonts.count(face.family) != 0) {
         critical += face.text;
         critical += '\n';

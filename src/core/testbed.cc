@@ -162,14 +162,17 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   // The push policy is served by whichever server hosts the trigger (the
   // primary origin). All servers share the store and origin map.
-  server::PushPolicy policy;
-  policy.trigger_host = site.main_url.host;
-  policy.trigger_path = site.main_url.path;
-  policy.push_urls = strategy.push_urls;
-  policy.interleaving = strategy.interleaving;
-  policy.interleave_offset = strategy.interleave_offset;
-  policy.critical_count = strategy.critical_count;
-  policy.hint_urls = strategy.hint_urls;
+  std::map<std::string, server::PushPolicy> policies;
+  if (!strategy.push_urls.empty() || !strategy.hint_urls.empty()) {
+    server::PushPolicy& policy = policies[site.main_url.host];
+    policy.trigger_host = site.main_url.host;
+    policy.trigger_path = site.main_url.path;
+    policy.push_urls = strategy.push_urls;
+    policy.interleaving = strategy.interleaving;
+    policy.interleave_offset = strategy.interleave_offset;
+    policy.critical_count = strategy.critical_count;
+    policy.hint_urls = strategy.hint_urls;
+  }
 
   const std::string primary_ip = site.origins.ip_of(site.main_url.host);
 
@@ -180,7 +183,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =
-      [&sim, &site, &policy, &sample, &downlink, &uplink, primary_ip,
+      [&sim, &site, &policies, &sample, &downlink, &uplink, primary_ip,
        &rtt_rng, &think_rng, &transports, use_http1, tr](
           const std::string& host)
       -> std::unique_ptr<browser::ClientTransport> {
@@ -201,7 +204,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
     sc.store = site.store.get();
     sc.origins = &site.origins;
     sc.think_time_mean = sample.server_think_mean;
-    if (ip == primary_ip && !policy.empty()) sc.policy = policy;
+    if (ip == primary_ip && !policies.empty()) sc.policies = &policies;
     if (tr != nullptr) {
       sc.trace = tr;
       sc.trace_track = tr->register_track("server." + host);

@@ -58,16 +58,10 @@ Connection::Connection(Config config, Callbacks callbacks)
       parser_(config.max_frame_size),
       encoder_(config.header_table_size),
       decoder_(config.header_table_size),
-      scheduler_(std::make_unique<DefaultTreeScheduler>()),
       next_stream_id_(config.role == Role::kClient ? 1 : 2),
       preface_pending_(config.role == Role::kServer) {
   // The decoder's size-update cap is whatever we announce in SETTINGS.
   decoder_.set_max_table_size(config.header_table_size);
-}
-
-void Connection::set_scheduler(std::unique_ptr<StreamScheduler> scheduler) {
-  assert(streams_.empty() && "scheduler must be set before streams exist");
-  scheduler_ = std::move(scheduler);
 }
 
 void Connection::start() {
@@ -171,7 +165,7 @@ std::uint32_t Connection::submit_request(
   s.state = StreamState::kHalfClosedLocal;  // GET with END_STREAM
   s.local_done = true;
   queue_header_frame(id, headers, /*end_stream=*/true, priority);
-  scheduler_->on_stream_added(id, priority.value_or(PrioritySpec{}));
+  scheduler_.on_stream_added(id, priority.value_or(PrioritySpec{}));
   signal_write();
   return id;
 }
@@ -200,7 +194,7 @@ void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
   s.state = StreamState::kClosed;
   s.body_pending = false;
   queue_control(Frame{RstStreamFrame{stream, error}});
-  scheduler_->on_stream_removed(stream);
+  scheduler_.on_stream_removed(stream);
   signal_write();
 }
 
@@ -220,7 +214,7 @@ std::uint32_t Connection::submit_push_promise(
   queue_header_frame(parent, request_headers, /*end_stream=*/false,
                      std::nullopt, /*promised_id=*/id);
   // h2o: pushed streams depend on the associated (parent) stream.
-  scheduler_->on_stream_added(id, PrioritySpec{parent, 16, false});
+  scheduler_.on_stream_added(id, PrioritySpec{parent, 16, false});
   signal_write();
   return id;
 }
@@ -240,7 +234,7 @@ void Connection::submit_response(std::uint32_t stream,
   if (empty_body) {
     s.local_done = true;
     s.end_queued = true;
-    scheduler_->on_stream_finished(stream);
+    scheduler_.on_stream_finished(stream);
     maybe_close(stream);
   } else {
     s.body = std::move(body);
@@ -310,7 +304,7 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
   //    the sink to drain.
   while (hard ? max_bytes - used() > kFrameHeaderSize : used() < max_bytes) {
     const std::uint32_t id =
-        scheduler_->pick([this](std::uint32_t sid) { return data_ready(sid); });
+        scheduler_.pick([this](std::uint32_t sid) { return data_ready(sid); });
     if (id == 0) break;
     if (trace_ && id != last_data_stream_) {
       // The scheduler moved to a different stream: the switch points are
@@ -324,7 +318,7 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
     std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
     n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
     n = std::min<std::size_t>(n, static_cast<std::size_t>(send_window_));
-    n = std::min<std::size_t>(n, scheduler_->max_bytes_for(id));
+    n = std::min<std::size_t>(n, scheduler_.max_bytes_for(id));
     if (hard) n = std::min(n, max_bytes - used() - kFrameHeaderSize);
     // data_ready() guarantees n > 0 for every setting this connection can
     // reach, but an unvalidated limit reaching 0 here would emit empty
@@ -343,7 +337,7 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
     send_window_ -= static_cast<std::int64_t>(n);
     s.data_sent += n;
     total_data_sent_ += n;
-    scheduler_->on_data_sent(id, n);
+    scheduler_.on_data_sent(id, n);
     if (trace_) {
       trace_->instant(trace_track_, "h2", "send DATA",
                       {{"stream", id},
@@ -358,7 +352,7 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
       s.local_done = true;
       s.end_queued = true;
       s.body.reset();
-      scheduler_->on_stream_finished(id);
+      scheduler_.on_stream_finished(id);
       maybe_close(id);
     }
   }
@@ -371,7 +365,7 @@ void Connection::maybe_close(std::uint32_t id) {
   Stream& s = it->second;
   if (s.local_done && s.remote_done && s.state != StreamState::kClosed) {
     s.state = StreamState::kClosed;
-    scheduler_->on_stream_removed(id);
+    scheduler_.on_stream_removed(id);
     if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
   }
 }
@@ -516,9 +510,9 @@ void Connection::handle_frame(Frame frame) {
             s.state = StreamState::kHalfClosedLocal;
           }
           if (f.priority) {
-            scheduler_->on_reprioritized(f.stream_id, *f.priority);
+            scheduler_.on_reprioritized(f.stream_id, *f.priority);
           } else if (config_.role == Role::kServer) {
-            scheduler_->on_stream_added(f.stream_id, PrioritySpec{});
+            scheduler_.on_stream_added(f.stream_id, PrioritySpec{});
           }
           if (f.end_stream) {
             s.remote_done = true;
@@ -642,7 +636,7 @@ void Connection::handle_frame(Frame frame) {
             }
             return;
           }
-          scheduler_->on_reprioritized(f.stream_id, f.priority);
+          scheduler_.on_reprioritized(f.stream_id, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
           if (streams_.find(f.stream_id) == streams_.end()) {
             connection_error(ErrorCode::kProtocolError,
@@ -653,7 +647,7 @@ void Connection::handle_frame(Frame frame) {
           s.state = StreamState::kClosed;
           s.body_pending = false;
           s.body.reset();
-          scheduler_->on_stream_removed(f.stream_id);
+          scheduler_.on_stream_removed(f.stream_id);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           if (f.stream_id == 0) {

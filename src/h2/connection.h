@@ -146,16 +146,17 @@ class Connection {
   /// produce_into under the soft cap, into a fresh vector.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
 
-  /// Replace the DATA scheduler (server side: interleaving experiments).
-  /// Must be called before any stream exists.
-  void set_scheduler(std::unique_ptr<StreamScheduler> scheduler);
-  StreamScheduler& scheduler() { return *scheduler_; }
+  /// The DATA scheduler. The server configures its hard switch (the
+  /// paper's interleaving) once the pushes of a trigger are promised.
+  TreeScheduler& scheduler() { return scheduler_; }
 
   /// Attach a trace recorder: per-frame send/recv instants, flow-control
-  /// window counters, and DATA scheduling switch points on `track`.
+  /// window counters, DATA scheduling switch points, and the scheduler's
+  /// pause / resume instants on `track`.
   void set_trace(trace::TraceRecorder* recorder, std::uint32_t track) {
     trace_ = recorder;
     trace_track_ = track;
+    scheduler_.set_trace(recorder, track);
   }
 
   // --- introspection ---
@@ -218,7 +219,7 @@ class Connection {
   FrameParser parser_;
   HpackEncoder encoder_;
   HpackDecoder decoder_;
-  std::unique_ptr<StreamScheduler> scheduler_;
+  TreeScheduler scheduler_;
 
   std::map<std::uint32_t, Stream> streams_;
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)

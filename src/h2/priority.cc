@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "trace/trace.h"
+
 namespace h2push::h2 {
 
 PriorityTree::PriorityTree() {
@@ -166,6 +168,43 @@ std::uint32_t PriorityTree::pick(
     const std::function<bool(std::uint32_t)>& ready) {
   bool dummy = false;
   return pick_subtree(0, ready, dummy);
+}
+
+void TreeScheduler::configure(std::uint32_t parent, std::size_t offset,
+                              std::set<std::uint32_t> critical) {
+  configured_ = true;
+  parent_ = parent;
+  offset_ = offset;
+  pending_critical_ = std::move(critical);
+}
+
+std::uint32_t TreeScheduler::pick_switched(
+    const std::function<bool(std::uint32_t)>& ready) {
+  // During the pause the critical pushes are scheduled even though the tree
+  // would favour their parent; afterwards the plain dependency order rules.
+  return tree_.pick(
+      [this, &ready](std::uint32_t id) { return !paused(id) && ready(id); });
+}
+
+void TreeScheduler::count_parent_bytes(std::size_t bytes) {
+  parent_sent_ += bytes;
+  if (trace_ != nullptr && !pause_traced_ && paused(parent_)) {
+    pause_traced_ = true;
+    trace_->instant(trace_track_, "server", "interleave.pause",
+                    {{"parent", parent_},
+                     {"parent_sent", parent_sent_},
+                     {"pending_critical", pending_critical_.size()}});
+  }
+}
+
+void TreeScheduler::drop_critical(std::uint32_t id) {
+  pending_critical_.erase(id);
+  if (trace_ != nullptr && pause_traced_ && !resume_traced_ &&
+      pending_critical_.empty()) {
+    resume_traced_ = true;
+    trace_->instant(trace_track_, "server", "interleave.resume",
+                    {{"parent", parent_}});
+  }
 }
 
 }  // namespace h2push::h2

@@ -6,14 +6,22 @@
 // resources behind a non-blocking parent. Among siblings, capacity is shared
 // proportionally to weight; we realize this with deterministic weighted
 // round-robin credits at frame granularity.
+//
+// TreeScheduler is the tree as a connection's DATA scheduler, with the
+// paper's optional hard switch on top.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "h2/frame.h"
+
+namespace h2push::trace {
+class TraceRecorder;
+}
 
 namespace h2push::h2 {
 
@@ -65,53 +73,83 @@ class PriorityTree {
   std::map<std::uint32_t, Node> nodes_;  // ordered for determinism
 };
 
-/// Scheduler interface the Connection consults when emitting DATA frames.
-/// Implementations: DefaultTreeScheduler (below) and the server module's
-/// InterleavingScheduler (the paper's contribution).
-class StreamScheduler {
+/// The connection's DATA scheduler: the dependency tree, plus the paper's
+/// modification of it (§5, Fig. 5a) once configure() is called.
+///
+/// Unconfigured it is h2o's default: a pushed stream is a child of its
+/// parent, so as long as the parent (the HTML) has data and window, the
+/// whole parent goes first. Configured, the parent stops after a byte
+/// offset (e.g. right after </head> plus the first bytes of <body>), the
+/// critical pushes are drained to completion, and then the parent resumes.
+/// Non-critical pushes still follow the tree (after the parent).
+class TreeScheduler {
  public:
-  virtual ~StreamScheduler() = default;
-
-  virtual void on_stream_added(std::uint32_t id, const PrioritySpec& spec) = 0;
-  virtual void on_reprioritized(std::uint32_t id,
-                                const PrioritySpec& spec) = 0;
-  virtual void on_stream_removed(std::uint32_t id) = 0;
-  /// DATA bytes were emitted for `id` (post-pick accounting).
-  virtual void on_data_sent(std::uint32_t id, std::size_t bytes) = 0;
-  /// The stream's body finished (END_STREAM queued).
-  virtual void on_stream_finished(std::uint32_t id) = 0;
-  /// Choose the next stream among those where `ready` holds; 0 = none.
-  virtual std::uint32_t pick(
-      const std::function<bool(std::uint32_t)>& ready) = 0;
-  /// Cap on DATA bytes the connection may emit for `id` in the next frame
-  /// (lets a scheduler stop a stream at an exact byte offset).
-  virtual std::size_t max_bytes_for(std::uint32_t id) {
-    (void)id;
-    return static_cast<std::size_t>(-1);
-  }
-};
-
-/// h2o's default behaviour: schedule strictly by the dependency tree.
-class DefaultTreeScheduler final : public StreamScheduler {
- public:
-  void on_stream_added(std::uint32_t id, const PrioritySpec& spec) override {
+  void on_stream_added(std::uint32_t id, const PrioritySpec& spec) {
     tree_.add(id, spec);
   }
-  void on_reprioritized(std::uint32_t id,
-                        const PrioritySpec& spec) override {
+  void on_reprioritized(std::uint32_t id, const PrioritySpec& spec) {
     tree_.reprioritize(id, spec);
   }
-  void on_stream_removed(std::uint32_t id) override { tree_.remove(id); }
-  void on_data_sent(std::uint32_t, std::size_t) override {}
-  void on_stream_finished(std::uint32_t) override {}
-  std::uint32_t pick(const std::function<bool(std::uint32_t)>& ready) override {
-    return tree_.pick(ready);
+  void on_stream_removed(std::uint32_t id) {
+    tree_.remove(id);
+    // A cancelled push must not wedge the parent.
+    if (configured_) drop_critical(id);
+  }
+  /// DATA bytes were emitted for `id` (post-pick accounting).
+  void on_data_sent(std::uint32_t id, std::size_t bytes) {
+    if (configured_ && id == parent_) count_parent_bytes(bytes);
+  }
+  /// The stream's body finished (END_STREAM queued).
+  void on_stream_finished(std::uint32_t id) {
+    if (configured_) drop_critical(id);
+  }
+  /// Choose the next stream among those where `ready` holds; 0 = none.
+  std::uint32_t pick(const std::function<bool(std::uint32_t)>& ready) {
+    return configured_ ? pick_switched(ready) : tree_.pick(ready);
+  }
+  /// Cap on DATA bytes the connection may emit for `id` in the next frame:
+  /// the parent stops exactly at the switch point.
+  std::size_t max_bytes_for(std::uint32_t id) const {
+    if (configured_ && id == parent_ && parent_sent_ < offset_ &&
+        !pending_critical_.empty()) {
+      return offset_ - parent_sent_;
+    }
+    return static_cast<std::size_t>(-1);
   }
 
-  PriorityTree& tree() { return tree_; }
+  /// Configure the hard switch: after `offset` bytes of `parent` DATA,
+  /// serve `critical` streams to completion before resuming the parent.
+  /// Call after the pushes have been promised (stream ids known), with
+  /// only the critical streams that still have DATA to send.
+  void configure(std::uint32_t parent, std::size_t offset,
+                 std::set<std::uint32_t> critical);
+  bool paused(std::uint32_t id) const {
+    return configured_ && id == parent_ && parent_sent_ >= offset_ &&
+           !pending_critical_.empty();
+  }
+
+  /// Attach a trace recorder: pause / resume instants at the hard switch.
+  void set_trace(trace::TraceRecorder* recorder, std::uint32_t track) {
+    trace_ = recorder;
+    trace_track_ = track;
+  }
 
  private:
+  std::uint32_t pick_switched(const std::function<bool(std::uint32_t)>& ready);
+  void count_parent_bytes(std::size_t bytes);
+  void drop_critical(std::uint32_t id);
+
   PriorityTree tree_;
+  bool configured_ = false;
+  std::uint32_t parent_ = 0;
+  std::size_t offset_ = 0;
+  std::size_t parent_sent_ = 0;
+  std::set<std::uint32_t> pending_critical_;
+
+  trace::TraceRecorder* trace_ = nullptr;
+  std::uint32_t trace_track_ = 0;
+  bool pause_traced_ = false;
+  bool resume_traced_ = false;
 };
 
 }  // namespace h2push::h2

@@ -55,7 +55,6 @@ class Server::Session {
     sc.store = cfg.store;
     sc.origins = cfg.origins;
     sc.policies = cfg.policies;
-    sc.interleaving = cfg.scheduler == SchedulerKind::kInterleaving;
     sc.default_authority = cfg.default_authority;
     sc.trace = trace_.get();
     sc.trace_track = track_;

@@ -4,7 +4,7 @@
 // N serving threads, each with its own EventLoop and SO_REUSEPORT Listener.
 // Every accepted socket becomes a ServerSession: a Transport (buffered
 // nonblocking socket, watermark backpressure) driving a server::ReplayServer
-// — the same session logic, stream schedulers, and push policies the
+// — the same session logic, stream scheduler, and push policies the
 // simulator exercises, now over real TCP. Frames leave the codec through
 // the byte pump (util/pump.h) under the hard cap, sized to the transport's
 // write budget, so per-connection memory stays bounded no matter how large
@@ -39,6 +39,10 @@ struct ServerConfig {
   const replay::RecordStore* store = nullptr;
   const replay::OriginMap* origins = nullptr;
   const std::map<std::string, server::PushPolicy>* policies = nullptr;
+  /// No effect: each policy's `interleaving` flag decides whether its
+  /// trigger configures the scheduler's hard switch (build_live_corpus sets
+  /// it from LiveCorpusConfig::scheduler). Kept only for callers that still
+  /// assign it.
   SchedulerKind scheduler = SchedulerKind::kParentFirst;
   std::string default_authority;
 

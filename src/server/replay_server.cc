@@ -32,34 +32,19 @@ ReplayServer::ReplayServer(sim::Simulator* sim, Config config, util::Rng rng)
     }
   };
   conn_ = std::make_unique<h2::Connection>(cc, std::move(cbs));
-  if (config_.interleaving ||
-      (config_.policy && config_.policy->interleaving)) {
-    auto sched = std::make_unique<InterleavingScheduler>();
-    interleaver_ = sched.get();
-    conn_->set_scheduler(std::move(sched));
-  }
   if (config_.trace != nullptr) {
     conn_->set_trace(config_.trace, config_.trace_track);
-    if (interleaver_ != nullptr) {
-      interleaver_->set_trace(config_.trace, config_.trace_track);
-    }
   }
   conn_->start();
 }
 
 const PushPolicy* ReplayServer::match_policy(const std::string& authority,
                                              const std::string& path) const {
-  if (config_.policy && config_.policy->trigger_host == authority &&
-      config_.policy->trigger_path == path) {
-    return &*config_.policy;
-  }
-  if (config_.policies != nullptr) {
-    const auto it = config_.policies->find(authority);
-    if (it != config_.policies->end() && it->second.trigger_path == path) {
-      return &it->second;
-    }
-  }
-  return nullptr;
+  if (config_.policies == nullptr) return nullptr;
+  const auto it = config_.policies->find(authority);
+  return it != config_.policies->end() && it->second.trigger_path == path
+             ? &it->second
+             : nullptr;
 }
 
 void ReplayServer::on_request(std::uint32_t stream,
@@ -94,11 +79,7 @@ void ReplayServer::on_request(std::uint32_t stream,
     // about them before it could discover and request the resources.
     corked_ = true;
     if (policy != nullptr) apply_push_policy(stream, *policy);
-    if (policy != nullptr && !policy->hint_urls.empty()) {
-      respond_with_hints(stream, *exchange, policy->hint_urls);
-    } else {
-      respond(stream, *exchange);
-    }
+    respond(stream, *exchange, policy);
     corked_ = false;
     if (write_ready_) write_ready_();
   };
@@ -112,7 +93,8 @@ void ReplayServer::on_request(std::uint32_t stream,
 }
 
 void ReplayServer::respond(std::uint32_t stream,
-                           const replay::RecordedExchange& ex) {
+                           const replay::RecordedExchange& ex,
+                           const PushPolicy* policy) {
   if (config_.trace != nullptr) {
     config_.trace->instant(
         config_.trace_track, "server", "respond",
@@ -120,15 +102,11 @@ void ReplayServer::respond(std::uint32_t stream,
          {"status", ex.response.status},
          {"bytes", ex.body ? ex.body->size() : std::size_t{0}}});
   }
-  conn_->submit_response(stream, ex.response.to_h2_headers(), ex.body);
-}
-
-void ReplayServer::respond_with_hints(std::uint32_t stream,
-                                      const replay::RecordedExchange& ex,
-                                      const std::vector<std::string>& hints) {
   auto headers = ex.response.to_h2_headers();
-  for (const auto& hint : hints) {
-    headers.push_back({"link", "<" + hint + ">; rel=preload"});
+  if (policy != nullptr) {
+    for (const auto& hint : policy->hint_urls) {
+      headers.push_back({"link", "<" + hint + ">; rel=preload"});
+    }
   }
   conn_->submit_response(stream, headers, ex.body);
 }
@@ -152,8 +130,7 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
       continue;
     }
     // Cache digest: the client told us it already holds this resource.
-    if (policy.honor_cache_digest && has_digest_ &&
-        digest_.probably_contains(push_url)) {
+    if (has_digest_ && digest_.probably_contains(push_url)) {
       ++pushes_skipped_by_digest_;
       if (config_.trace != nullptr) {
         config_.trace->instant(config_.trace_track, "server",
@@ -171,7 +148,6 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
       return;
     }
     ++push_promises_sent_;
-    ++pushed_streams_;
     if (config_.trace != nullptr) {
       config_.trace->instant(
           config_.trace_track, "server", "push_promise",
@@ -181,12 +157,15 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
     }
     conn_->submit_response(promised, exchange->response.to_h2_headers(),
                            exchange->body);
-    if (interleaver_ != nullptr && index < policy.critical_count) {
+    // A critical push with nothing left to send (an empty body) must not
+    // wedge the parent.
+    if (policy.interleaving && index < policy.critical_count &&
+        !conn_->stream_send_finished(promised)) {
       critical.insert(promised);
     }
     ++index;
   }
-  if (interleaver_ != nullptr && !critical.empty()) {
+  if (!critical.empty()) {
     if (config_.trace != nullptr) {
       config_.trace->instant(
           config_.trace_track, "server", "interleave.configure",
@@ -194,8 +173,8 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
            {"offset", policy.interleave_offset},
            {"critical", critical.size()}});
     }
-    interleaver_->configure(parent_stream, policy.interleave_offset,
-                            std::move(critical));
+    conn_->scheduler().configure(parent_stream, policy.interleave_offset,
+                                 std::move(critical));
   }
 }
 

@@ -6,14 +6,13 @@
 // h2o-FastCGI module of the paper. When a request matches the push policy's
 // trigger (normally the landing page), the server issues PUSH_PROMISEs in
 // policy order, submits the pushed responses, and — if the policy asks for
-// interleaving — configures the InterleavingScheduler with the parent
+// interleaving — configures the connection's scheduler with the parent
 // stream, byte offset, and the critical push set.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "h2/connection.h"
 #include "replay/origin.h"
 #include "replay/record.h"
-#include "server/interleaving.h"
 #include "sim/time.h"
 #include "util/rng.h"
 
@@ -37,7 +35,7 @@ struct PushPolicy {
   std::string trigger_path = "/";
   /// Absolute URLs, in push order.
   std::vector<std::string> push_urls;
-  /// Use the modified (interleaving) scheduler.
+  /// Configure the scheduler's hard switch (the paper's interleaving).
   bool interleaving = false;
   /// Bytes of the parent (HTML) to send before the hard switch.
   std::size_t interleave_offset = 4096;
@@ -48,9 +46,6 @@ struct PushPolicy {
   /// trigger instead of (or besides) being pushed — the Vroom/MetaPush
   /// server-aided-hints baseline.
   std::vector<std::string> hint_urls;
-  /// Honor a received CACHE_DIGEST: skip pushing resources the digest says
-  /// the client already has.
-  bool honor_cache_digest = true;
 
   bool empty() const noexcept {
     return push_urls.empty() && hint_urls.empty();
@@ -62,18 +57,11 @@ class ReplayServer {
   struct Config {
     const replay::RecordStore* store = nullptr;
     const replay::OriginMap* origins = nullptr;
-    /// Push policy; only applied when the trigger request arrives on this
-    /// connection. Optional: plain serving otherwise.
-    std::optional<PushPolicy> policy;
-    /// Multi-site policy table (live daemon): trigger host → policy,
-    /// consulted when `policy` does not match. Not owned; must outlive the
-    /// session. Policies here apply when a request hits their
-    /// trigger_host + trigger_path.
+    /// Push policies: trigger host → policy, applied when a request hits
+    /// its trigger_host + trigger_path. Not owned; must outlive the
+    /// session. Null: plain serving. A pushed resource the client's
+    /// CACHE_DIGEST says it already holds is skipped.
     const std::map<std::string, PushPolicy>* policies = nullptr;
-    /// Install the InterleavingScheduler even when `policy` alone would
-    /// not (required when any entry of `policies` interleaves: the
-    /// scheduler must exist before the trigger request arrives).
-    bool interleaving = false;
     /// Fallback :authority when the requested one has no record — lets
     /// off-the-shelf clients (nghttp, curl) that send "127.0.0.1:port" as
     /// authority reach a recorded site. Empty = strict matching.
@@ -102,7 +90,6 @@ class ReplayServer {
   }
 
   std::uint64_t requests_served() const noexcept { return requests_served_; }
-  std::uint64_t pushed_streams() const noexcept { return pushed_streams_; }
   std::uint64_t push_promises_sent() const noexcept {
     return push_promises_sent_;
   }
@@ -115,10 +102,10 @@ class ReplayServer {
   void on_request(std::uint32_t stream, http::HeaderBlock headers);
   const PushPolicy* match_policy(const std::string& authority,
                                  const std::string& path) const;
-  void respond(std::uint32_t stream, const replay::RecordedExchange& ex);
-  void respond_with_hints(std::uint32_t stream,
-                          const replay::RecordedExchange& ex,
-                          const std::vector<std::string>& hints);
+  /// Submit the recorded response, with a preload `link` header per hint
+  /// of `policy` (null: none).
+  void respond(std::uint32_t stream, const replay::RecordedExchange& ex,
+               const PushPolicy* policy);
   void apply_push_policy(std::uint32_t parent_stream,
                          const PushPolicy& policy);
 
@@ -126,13 +113,11 @@ class ReplayServer {
   Config config_;
   util::Rng rng_;
   std::unique_ptr<h2::Connection> conn_;
-  InterleavingScheduler* interleaver_ = nullptr;  // owned by conn_ if set
   std::function<void()> write_ready_;
   bool corked_ = false;  // hold writes while a response is being assembled
   h2::CacheDigest digest_;
   bool has_digest_ = false;
   std::uint64_t requests_served_ = 0;
-  std::uint64_t pushed_streams_ = 0;
   std::uint64_t push_promises_sent_ = 0;
   std::uint64_t pushes_skipped_by_digest_ = 0;
 };

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "h2/connection.h"
-#include "server/interleaving.h"
 
 namespace h2push::h2 {
 namespace {
@@ -268,9 +267,6 @@ TEST(Connection, InterleavingSchedulerHardSwitch) {
   // The paper's Fig. 5a, at the connection level: parent HTML pauses at the
   // offset, the critical push drains completely, the parent resumes.
   Pair p;
-  auto scheduler = std::make_unique<server::InterleavingScheduler>();
-  auto* interleaver = scheduler.get();
-  p.server->set_scheduler(std::move(scheduler));
   const auto id = p.get("/");
   p.pump();
   http::Request push_req;
@@ -282,7 +278,7 @@ TEST(Connection, InterleavingSchedulerHardSwitch) {
                             Pair::make_body(8000, 'c'));
   p.server->submit_response(id, resp.to_h2_headers(),
                             Pair::make_body(50000, 'h'));
-  interleaver->configure(id, 4096, {promised});
+  p.server->scheduler().configure(id, 4096, {promised});
 
   // Drive the server byte by byte and track arrival order at the client.
   std::string arrival_tags;

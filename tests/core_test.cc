@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adoption/adoption.h"
+#include "browser/stylesheet_cache.h"
 #include "core/critical_css.h"
 #include "core/dependency.h"
 #include "core/optimize.h"
@@ -125,6 +126,25 @@ TEST(CriticalCss, CriticalRulesMatchAboveFoldElements) {
   // .xN-*) never match above-the-fold elements.
   EXPECT_NE(analysis.critical_css_text.find(".t0"), std::string::npos);
   EXPECT_EQ(analysis.critical_css_text.find(".x0-"), std::string::npos);
+}
+
+TEST(CriticalCss, SharesParsedStylesheetsWithTheRenderer) {
+  // The analysis reads its sheets through the process-wide parsed-sheet
+  // cache: one lookup per analysed sheet, and analysing the same site
+  // again parses nothing.
+  browser::BrowserConfig bc;
+  for (const auto& site : {fixture_site(), web::make_synthetic_site(1)}) {
+    const auto before = browser::shared_stylesheet_stats();
+    const auto first = analyze_critical(site, bc);
+    const auto middle = browser::shared_stylesheet_stats();
+    ASSERT_FALSE(first.stylesheets.empty());
+    EXPECT_EQ(middle.lookups - before.lookups, first.stylesheets.size());
+    const auto second = analyze_critical(site, bc);
+    const auto after = browser::shared_stylesheet_stats();
+    EXPECT_EQ(after.lookups - middle.lookups, second.stylesheets.size());
+    EXPECT_EQ(after.parses, middle.parses);
+    EXPECT_EQ(second.critical_css_text, first.critical_css_text);
+  }
 }
 
 TEST(CriticalCss, HeadEndOffsetPointsPastHead) {

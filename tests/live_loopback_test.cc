@@ -31,13 +31,11 @@ LiveCorpusConfig corpus_config(SchedulerKind scheduler,
   return config;
 }
 
-ServerConfig server_config_for(const LiveCorpus& corpus,
-                               const LiveCorpusConfig& cc) {
+ServerConfig server_config_for(const LiveCorpus& corpus) {
   ServerConfig sc;
   sc.store = &corpus.store;
   sc.origins = &corpus.origins;
   sc.policies = &corpus.policies;
-  sc.scheduler = cc.scheduler;
   return sc;
 }
 
@@ -66,7 +64,7 @@ TEST(LiveLoopback, ParentFirstServesStoreByteIdentical) {
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
   ASSERT_GT(corpus.all_urls.size(), 10u);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   expect_store_equality(corpus, server.port(), /*enable_push=*/false);
   server.shutdown(2000);
@@ -79,7 +77,7 @@ TEST(LiveLoopback, InterleavingServesStoreByteIdentical) {
   const auto cc = corpus_config(SchedulerKind::kInterleaving,
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   // Pushes disabled client-side: pure request/response under the modified
   // scheduler must still be byte-identical to the store.
@@ -92,7 +90,7 @@ TEST(LiveLoopback, PushedResourcesArriveByteIdentical) {
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
   ASSERT_FALSE(corpus.policies.empty());
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
 
   // Request only the first site's landing page, push enabled: every URL in
@@ -128,7 +126,7 @@ TEST(LiveLoopback, InterleavingSchedulerAlsoPushesByteIdentical) {
   const auto cc = corpus_config(SchedulerKind::kInterleaving,
                                 PushStrategySpec::Kind::kAll);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
 
   const auto& [landing_host, landing_path] = corpus.landing_pages.front();
@@ -152,7 +150,7 @@ TEST(LiveLoopback, MultiThreadLoadSmoke) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  ServerConfig sc = server_config_for(corpus, cc);
+  ServerConfig sc = server_config_for(corpus);
   sc.threads = 2;
   Server server(sc);
   ASSERT_TRUE(server.start()) << server.error();
@@ -180,7 +178,7 @@ TEST(LiveLoopback, GracefulShutdownDrainsInFlightWork) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  Server server(server_config_for(corpus, cc));
+  Server server(server_config_for(corpus));
   ASSERT_TRUE(server.start()) << server.error();
   // Serve something, then shut down; the drain path (GOAWAY, close on
   // quiescence) must terminate promptly with no connection left behind.
@@ -195,7 +193,7 @@ TEST(LiveLoopback, PerConnectionTraceFilesWritten) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);
   const LiveCorpus corpus = build_live_corpus(cc);
-  ServerConfig sc = server_config_for(corpus, cc);
+  ServerConfig sc = server_config_for(corpus);
   const auto trace_dir =
       std::filesystem::temp_directory_path() / "h2push_live_trace_test";
   std::filesystem::remove_all(trace_dir);

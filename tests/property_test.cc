@@ -6,7 +6,9 @@
 // 2^-p design bound. PriorityTree: arbitrary add/reprioritize/remove
 // sequences (including exclusive insertion and §5.3.3 descendant moves)
 // keep the tree a tree — no cycles, parent/child links consistent — and
-// pick() terminates and only returns ready streams.
+// pick() terminates and only returns ready streams. The connection's
+// scheduler, driven unconfigured through the same script, picks exactly
+// what the bare tree picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -134,6 +136,7 @@ TEST(PropertyPriorityTree, RandomReparentingKeepsTreeConsistent) {
     const std::uint64_t seed = fuzz_test::kPropertySeed + (2u << 20) + i;
     Random r(seed);
     h2::PriorityTree tree;
+    h2::TreeScheduler scheduler;  // no hard switch: must mirror `tree`
     std::vector<std::uint32_t> ids;
 
     const std::size_t ops = r.range(5, 60);
@@ -154,6 +157,7 @@ TEST(PropertyPriorityTree, RandomReparentingKeepsTreeConsistent) {
         }
         if (spec.depends_on == id) spec.depends_on = 0;
         tree.add(id, spec);
+        scheduler.on_stream_added(id, spec);
         ids.push_back(id);
         if (spec.depends_on != 0 &&
             std::find(ids.begin(), ids.end(), spec.depends_on) == ids.end()) {
@@ -170,10 +174,12 @@ TEST(PropertyPriorityTree, RandomReparentingKeepsTreeConsistent) {
         spec.depends_on = r.chance(0.8) ? ids[r.index(ids.size())] : 0;
         if (spec.depends_on == id) spec.depends_on = 0;
         tree.reprioritize(id, spec);
+        scheduler.on_reprioritized(id, spec);
       } else {
         const auto idx = r.index(ids.size());
         const auto id = ids[idx];
         tree.remove(id);
+        scheduler.on_stream_removed(id);
         ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(idx));
       }
       expect_tree_invariants(tree, ids, seed);
@@ -192,7 +198,13 @@ TEST(PropertyPriorityTree, RandomReparentingKeepsTreeConsistent) {
     std::set<std::uint32_t> picked;
     for (std::size_t j = 0; j < 4 * (ready_set.size() + 1); ++j) {
       const auto got = tree.pick(ready);
+      ASSERT_EQ(scheduler.pick(ready), got)
+          << "scheduler diverged from the tree at pick " << j
+          << seed_msg(seed);
       if (got == 0) break;
+      EXPECT_EQ(scheduler.max_bytes_for(got), static_cast<std::size_t>(-1))
+          << seed_msg(seed);
+      scheduler.on_data_sent(got, 1000);
       ASSERT_TRUE(ready_set.count(got))
           << "pick returned non-ready stream " << got << seed_msg(seed);
       picked.insert(got);

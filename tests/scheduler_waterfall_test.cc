@@ -1,5 +1,6 @@
-// Unit tests for the interleaving scheduler in isolation and the waterfall
-// renderer, plus cross-cutting determinism properties over the corpus.
+// Unit tests for the scheduler's interleaving hard switch in isolation and
+// the waterfall renderer, plus cross-cutting determinism properties over
+// the corpus.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -7,16 +8,14 @@
 #include "core/strategy.h"
 #include "core/testbed.h"
 #include "core/waterfall.h"
-#include "server/interleaving.h"
+#include "h2/priority.h"
 #include "web/corpus.h"
 
 namespace h2push {
 namespace {
 
-using server::InterleavingScheduler;
-
 struct SchedulerFixture {
-  InterleavingScheduler scheduler;
+  h2::TreeScheduler scheduler;
   std::set<std::uint32_t> ready;
 
   std::uint32_t pick() {
@@ -70,18 +69,6 @@ TEST(InterleavingScheduler, MultipleCriticalStreamsAllDrain) {
     f.scheduler.on_stream_finished(picked);
     f.ready.erase(picked);
   }
-  EXPECT_EQ(f.pick(), 1u);
-}
-
-TEST(InterleavingScheduler, PreFinishedCriticalDoesNotWedge) {
-  SchedulerFixture f;
-  f.scheduler.on_stream_added(1, h2::PrioritySpec{});
-  f.scheduler.on_stream_added(2, h2::PrioritySpec{1, 16, false});
-  f.scheduler.on_stream_finished(2);  // tiny push fully written already
-  f.scheduler.configure(1, 100, {2});
-  f.scheduler.on_data_sent(1, 100);
-  f.ready = {1};
-  EXPECT_FALSE(f.scheduler.paused(1));
   EXPECT_EQ(f.pick(), 1u);
 }
 

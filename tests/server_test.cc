@@ -22,6 +22,7 @@ struct ServerHarness {
   sim::Simulator* server_sim = &sim;
   replay::RecordStore store;
   replay::OriginMap origins;
+  std::map<std::string, PushPolicy> policies;
   std::unique_ptr<ReplayServer> server;
   std::unique_ptr<h2::Connection> client;
   std::map<std::uint32_t, std::string> bodies;
@@ -46,7 +47,11 @@ struct ServerHarness {
     ReplayServer::Config config;
     config.store = &store;
     config.origins = &origins;
-    config.policy = std::move(policy);
+    if (policy) {
+      const std::string host = policy->trigger_host;
+      policies[host] = std::move(*policy);
+    }
+    config.policies = &policies;
     config.think_time_mean = think;
     server = std::make_unique<ReplayServer>(server_sim, config, util::Rng(1));
 
@@ -317,6 +322,31 @@ TEST(ReplayServer, InterleavingPolicyConfiguresScheduler) {
   }
   ASSERT_TRUE(css_done);
   EXPECT_LE(html_at_css_done, 4096u);
+  EXPECT_EQ(h.bodies[main_id].size(), 50000u);
+}
+
+TEST(ReplayServer, PreFinishedCriticalDoesNotWedge) {
+  // A critical push with an empty body is finished the moment its response
+  // is submitted, before the scheduler is configured: the parent must not
+  // wait for it after the switch point.
+  ServerHarness h;
+  h.origins.add_host("a.test", "10.0.0.1");
+  h.add_resource("a.test", "/", 50000);
+  h.add_resource("a.test", "/empty.css", 0);
+  h.add_resource("a.test", "/c.css", 8000);
+  PushPolicy policy;
+  policy.trigger_host = "a.test";
+  policy.trigger_path = "/";
+  policy.push_urls = {"https://a.test/empty.css", "https://a.test/c.css"};
+  policy.interleaving = true;
+  policy.interleave_offset = 100;
+  h.start(policy);
+  const auto main_id = h.get("a.test", "/");
+  h.settle();
+  ASSERT_EQ(h.promises.size(), 2u);
+  EXPECT_EQ(h.statuses[h.promises[0].first], 200);
+  EXPECT_TRUE(h.bodies[h.promises[0].first].empty());
+  EXPECT_EQ(h.bodies[h.promises[1].first].size(), 8000u);
   EXPECT_EQ(h.bodies[main_id].size(), 50000u);
 }
 

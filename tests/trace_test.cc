@@ -224,6 +224,44 @@ TEST(Trace, DisabledRecorderDoesNotChangeTheRun) {
   EXPECT_EQ(traced.num_requests, plain.num_requests);
 }
 
+TEST(Trace, HintedTriggerResponseIsTracedLikeAnyOther) {
+  // A hint-all load answers its trigger with preload link headers; that
+  // response still gets its server "respond" instant, so every served
+  // request has exactly one, on the session's track.
+  const auto site = web::make_synthetic_site(1);
+  const auto strategy =
+      core::hint_all(site, push_all_strategy(site, false).push_urls);
+  ASSERT_FALSE(strategy.hint_urls.empty());
+  trace::TraceRecorder rec;
+  core::RunConfig cfg;
+  cfg.trace = &rec;
+  const auto result = core::run_page_load(site, strategy, cfg);
+  ASSERT_TRUE(result.complete);
+
+  std::map<std::uint32_t, std::map<std::int64_t, int>> requests;  // track →
+  std::map<std::uint32_t, std::map<std::int64_t, int>> responds;  // stream
+  int triggers = 0;
+  for (const auto& e : rec.events()) {
+    if (std::string(e.category) != "server") continue;
+    if (e.name != "request" && e.name != "respond") continue;
+    std::int64_t stream = -1;
+    for (const auto& [key, value] : e.args) {
+      if (key == "stream") stream = value.i;
+      if (key == "trigger" && value.i == 1) ++triggers;
+    }
+    ASSERT_GE(stream, 0) << e.name << " without a stream";
+    ++(e.name == "request" ? requests : responds)[e.track][stream];
+  }
+  EXPECT_EQ(triggers, 1);
+  ASSERT_FALSE(requests.empty());
+  EXPECT_EQ(requests, responds);
+  for (const auto& [track, streams] : responds) {
+    for (const auto& [stream, count] : streams) {
+      EXPECT_EQ(count, 1) << "track " << track << " stream " << stream;
+    }
+  }
+}
+
 TEST(Trace, WaterfallFromTraceMatchesLiveWaterfall) {
   trace::TraceRecorder rec;
   const auto result = run_traced(&rec, /*interleaving=*/false);

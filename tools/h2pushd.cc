@@ -2,7 +2,7 @@
 //
 // Serves a deterministically generated corpus (same generator the simulator
 // uses) over real TCP with the repo's own H2 codec, replay server, and
-// stream schedulers. Pair it with h2pushload, nghttp, or curl --http2-prior-
+// stream scheduler. Pair it with h2pushload, nghttp, or curl --http2-prior-
 // knowledge:
 //
 //   h2pushd --port 8443 --profile top100 --sites 4 --seed 1 \
@@ -34,7 +34,8 @@ void usage(const char* argv0) {
       "  --profile <name>       corpus profile: top100 | random100\n"
       "  --sites <n>            generated sites to serve (default 4)\n"
       "  --seed <n>             corpus seed (default 1)\n"
-      "  --scheduler <s>        parent-first | interleaving\n"
+      "  --scheduler <s>        parent-first | interleaving (sets every\n"
+      "                         site policy's interleaving flag)\n"
       "  --push-strategy <s>    none | all | first-n:<n>\n"
       "  --interleave-offset <n> bytes of parent HTML before interleaving\n"
       "  --default-authority <h> serve this :authority to clients that send\n"
@@ -132,7 +133,6 @@ int main(int argc, char** argv) {
   server_config.store = &corpus.store;
   server_config.origins = &corpus.origins;
   server_config.policies = &corpus.policies;
-  server_config.scheduler = corpus_config.scheduler;
   if (server_config.default_authority.empty() &&
       !corpus.landing_pages.empty()) {
     server_config.default_authority = corpus.landing_pages.front().first;
