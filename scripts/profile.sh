@@ -8,14 +8,20 @@
 #   scripts/profile.sh              # full fig2b sweep (6 200 loads)
 #   scripts/profile.sh --quick      # reduced sweep, a few seconds
 #   scripts/profile.sh --top 30     # also list the 30 hottest functions
+#   scripts/profile.sh --static     # link statically: libc is sampled too
 #
 # Other flags are forwarded to bench_fig2b_push_vs_nopush. Only code linked
-# into the executable is sampled: time inside shared libraries (libc's
-# malloc/memcpy, libstdc++'s out-of-line parts) is not in the total.
+# into the executable is sampled. A default (dynamic) build therefore leaves
+# time inside shared libraries — libc's memmove/malloc/memcmp, libstdc++'s
+# out-of-line parts — out of the total. --static links with -pg -static (in
+# build-prof-static/), so those functions land in the executable: C symbols
+# (libc's string and allocator routines) get a "libc" row, and libstdc++'s
+# out-of-line code joins the std/other rows.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 build_dir=build-prof
+link_flags=-pg
 top=0
 args=()
 while [[ $# -gt 0 ]]; do
@@ -23,6 +29,11 @@ while [[ $# -gt 0 ]]; do
     --top)
       top="$2"
       shift 2
+      ;;
+    --static)
+      build_dir=build-prof-static
+      link_flags="-pg -static"
+      shift
       ;;
     *)
       args+=("$1")
@@ -32,9 +43,9 @@ while [[ $# -gt 0 ]]; do
 done
 
 jobs=$(nproc 2>/dev/null || echo 4)
-echo "=== build: Release + -pg (${build_dir}/) ===" >&2
+echo "=== build: Release + ${link_flags} (${build_dir}/) ===" >&2
 cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS=-pg >/dev/null
+  -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS="$link_flags" >/dev/null
 cmake --build "$build_dir" -j "$jobs" --target bench_fig2b_push_vs_nopush \
   >/dev/null
 bench_bin=$(pwd)/$build_dir/bench/bench_fig2b_push_vs_nopush
@@ -55,8 +66,11 @@ import sys
 # two per-call columns, then the demangled name.
 row = re.compile(r"^\s*[\d.]+\s+[\d.]+\s+([\d.]+)\s+(?:\d+\s+[\d.]+\s+[\d.]+\s+)?(.+)$")
 # The namespace that appears first in the name decides: a std:: template
-# instantiated over h2push types is std time, h2push::h2::... is h2.
+# instantiated over h2push types is std time, h2push::h2::... is h2. A bare
+# C symbol (no scope, no parameter list) is libc's: only a static build
+# (--static) links those into the executable.
 owner = re.compile(r"h2push::(\w+)::|(std::|__gnu_cxx::)")
+c_symbol = re.compile(r"[A-Za-z_][\w.]*")
 
 by_layer = {}
 funcs = []
@@ -66,7 +80,9 @@ for line in open(sys.argv[1]):
         continue
     self_s, name = float(m.group(1)), m.group(2).strip()
     o = owner.search(name)
-    if o is None:
+    if o is None and c_symbol.fullmatch(name) and name != "main":
+        layer = "libc"
+    elif o is None:
         layer = "other"
     elif o.group(1):
         layer = o.group(1)

@@ -81,9 +81,7 @@ std::vector<std::string> extract_urls(std::string_view value) {
   return out;
 }
 
-}  // namespace
-
-std::string CssRule::font_family() const {
+std::string font_family_of(const std::vector<Declaration>& declarations) {
   for (const auto& d : declarations) {
     if (d.property == "font-family") {
       // First family in the list, unquoted.
@@ -100,7 +98,7 @@ std::string CssRule::font_family() const {
   return {};
 }
 
-std::vector<std::string> CssRule::urls() const {
+std::vector<std::string> urls_of(const std::vector<Declaration>& declarations) {
   std::vector<std::string> out;
   for (const auto& d : declarations) {
     for (auto& u : extract_urls(d.value)) out.push_back(std::move(u));
@@ -108,10 +106,12 @@ std::vector<std::string> CssRule::urls() const {
   return out;
 }
 
+}  // namespace
+
 std::vector<std::string> Stylesheet::resource_urls() const {
   std::vector<std::string> out;
   for (const auto& r : rules) {
-    for (auto& u : r.urls()) out.push_back(std::move(u));
+    out.insert(out.end(), r.urls().begin(), r.urls().end());
   }
   for (const auto& f : font_faces) {
     if (!f.url.empty()) out.push_back(f.url);
@@ -198,6 +198,8 @@ Stylesheet parse_css(std::string_view text) {
         if (!parsed.parts.empty()) rule.selectors.push_back(std::move(parsed));
       }
       rule.declarations = parse_declarations(body);
+      rule.font_family_ = font_family_of(rule.declarations);
+      rule.urls_ = urls_of(rule.declarations);
       if (!rule.selectors.empty()) sheet.rules.push_back(std::move(rule));
     }
     i = close + 1;

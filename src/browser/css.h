@@ -20,6 +20,9 @@
 
 namespace h2push::browser {
 
+struct Stylesheet;
+Stylesheet parse_css(std::string_view text);
+
 /// One compound selector part: "div.hero#main" → tag=div, classes={hero},
 /// id=main. Empty fields are wildcards.
 struct CompoundSelector {
@@ -44,10 +47,18 @@ struct CssRule {
   std::vector<Declaration> declarations;
   std::string text;  // original rule text (for critical-CSS reassembly)
 
-  /// font-family value if declared, else empty.
-  std::string font_family() const;
+  /// First font-family of the first font-family declaration, unquoted;
+  /// empty if none.
+  const std::string& font_family() const noexcept { return font_family_; }
   /// url(...) references in the declarations (background images).
-  std::vector<std::string> urls() const;
+  const std::vector<std::string>& urls() const noexcept { return urls_; }
+
+ private:
+  friend Stylesheet parse_css(std::string_view text);
+  // Derived from `declarations` once, when parse_css builds the rule: a
+  // shared sheet is read by every load of its site.
+  std::string font_family_;
+  std::vector<std::string> urls_;
 };
 
 struct FontFace {

@@ -77,7 +77,8 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
   cc.initial_window = config_.initial_stream_window;
   cc.connection_window_bonus = config_.connection_window_bonus;
   h2::Connection::Callbacks cbs;
-  cbs.on_headers = [this, &g](std::uint32_t stream, http::HeaderBlock headers,
+  cbs.on_headers = [this, &g](std::uint32_t stream,
+                              const http::HeaderBlock& headers,
                               bool end_stream) {
     auto it2 = g.by_stream.find(stream);
     if (it2 == g.by_stream.end()) return;
@@ -111,16 +112,12 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     }
     if (it2 == g.by_stream.end()) return;
     auto& fetch = it2->second;
-    fetch->body_.append(reinterpret_cast<const char*>(data.data()),
-                        data.size());
-    for (auto& sub : fetch->subscribers_) {
-      if (sub.on_data) sub.on_data(data, end_stream);
-    }
+    deliver(*fetch, data, end_stream);
     if (end_stream) on_fetch_complete(fetch);
   };
   cbs.on_push_promise = [this, &g](std::uint32_t /*parent*/,
                                    std::uint32_t promised,
-                                   http::HeaderBlock request_headers) {
+                                   const http::HeaderBlock& request_headers) {
     http::Url url;
     url.scheme = std::string(http::find_header(request_headers, ":scheme"));
     url.host = std::string(http::find_header(request_headers, ":authority"));
@@ -236,10 +233,22 @@ http::Request FetchManager::request_for(const Fetch& fetch) const {
   return req;
 }
 
+const http::HeaderBlock& FetchManager::h2_request_headers(const Fetch& fetch) {
+  if (h2_request_.empty()) {
+    h2_request_ = request_for(fetch).to_h2_headers();
+  } else {
+    // Only the URL differs between requests: :scheme, :authority, :path.
+    h2_request_[1].value = fetch.url_.scheme;
+    h2_request_[2].value = fetch.url_.host;
+    h2_request_[3].value = fetch.url_.path;
+  }
+  return h2_request_;
+}
+
 void FetchManager::submit(Group& g, const std::shared_ptr<Fetch>& fetch) {
-  const http::Request req = request_for(*fetch);
   const h2::PrioritySpec spec = g.prioritizer.plan(fetch->priority_);
-  const std::uint32_t id = g.conn->submit_request(req.to_h2_headers(), spec);
+  const std::uint32_t id =
+      g.conn->submit_request(h2_request_headers(*fetch), spec);
   g.prioritizer.commit(id, fetch->priority_);
   g.by_stream[id] = fetch;
   pump(g);
@@ -328,11 +337,7 @@ void FetchManager::h1_dispatch(Group& g) {
           config_.trace->summary().bytes_total += data.size();
         }
         auto fetch = c.current;
-        fetch->body_.append(reinterpret_cast<const char*>(data.data()),
-                            data.size());
-        for (auto& sub : fetch->subscribers_) {
-          if (sub.on_data) sub.on_data(data, fin);
-        }
+        deliver(*fetch, data, fin);
         if (fin) {
           c.current.reset();
           on_fetch_complete(fetch);
@@ -464,6 +469,19 @@ std::size_t FetchManager::outstanding() const {
   return n;
 }
 
+void FetchManager::deliver(Fetch& fetch, std::span<const std::uint8_t> data,
+                           bool fin) {
+  fetch.received_ += data.size();
+  if (fetch.type_ == http::ResourceType::kHtml ||
+      fetch.type_ == http::ResourceType::kCss) {
+    fetch.body_.append(reinterpret_cast<const char*>(data.data()),
+                       data.size());
+  }
+  for (auto& sub : fetch.subscribers_) {
+    if (sub.on_data) sub.on_data(data, fin);
+  }
+}
+
 void FetchManager::on_fetch_complete(const std::shared_ptr<Fetch>& fetch) {
   if (fetch->complete_) return;
   fetch->complete_ = true;
@@ -471,7 +489,7 @@ void FetchManager::on_fetch_complete(const std::shared_ptr<Fetch>& fetch) {
   if (config_.trace != nullptr && fetch->trace_id_ != 0) {
     config_.trace->async_end(
         config_.trace_track, "browser", "fetch", fetch->trace_id_,
-        {{"size", fetch->body_.size()},
+        {{"size", fetch->received_},
          {"status", fetch->status_},
          {"type", std::string(http::to_string(fetch->type_))},
          {"pushed", fetch->pushed_ ? 1 : 0},

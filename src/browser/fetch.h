@@ -54,7 +54,8 @@ using TransportFactory =
 class Fetch {
  public:
   struct Subscriber {
-    /// Streaming data (new subscribers first receive buffered bytes).
+    /// Streaming data; a new subscriber first receives the text kept so
+    /// far (see body()).
     std::function<void(std::span<const std::uint8_t>, bool fin)> on_data;
     std::function<void(const Fetch&)> on_complete;
   };
@@ -66,6 +67,10 @@ class Fetch {
   bool adopted() const noexcept { return adopted_; }
   bool from_cache() const noexcept { return from_cache_; }
   int status() const noexcept { return status_; }
+  /// Body bytes received so far, of any type.
+  std::size_t received_bytes() const noexcept { return received_; }
+  /// The received body text, kept only for HTML and CSS — the only types
+  /// anything parses. Other bodies are counted, not stored: empty here.
   const std::string& body() const noexcept { return body_; }
   /// content-length from the response headers (0 if unknown yet).
   std::size_t expected_size() const noexcept { return expected_size_; }
@@ -90,7 +95,8 @@ class Fetch {
   int status_ = 0;
   http::ResourceType type_ = http::ResourceType::kOther;
   std::size_t expected_size_ = 0;
-  std::string body_;
+  std::size_t received_ = 0;
+  std::string body_;  // text types only
   sim::Time t_initiated_ = -1;
   sim::Time t_headers_ = -1;
   sim::Time t_complete_ = -1;
@@ -159,6 +165,12 @@ class FetchManager {
   void h1_dispatch(Group& g);
   void h1_pump(H1Conn& c);
   http::Request request_for(const Fetch& fetch) const;
+  /// request_for(fetch) as an H2 header block, in one block reused across
+  /// requests.
+  const http::HeaderBlock& h2_request_headers(const Fetch& fetch);
+  /// Body bytes arrived for `fetch`: count them, keep text, and stream
+  /// them to the subscribers.
+  void deliver(Fetch& fetch, std::span<const std::uint8_t> data, bool fin);
   void on_fetch_complete(const std::shared_ptr<Fetch>& fetch);
   void trace_fetch_begin(Fetch& fetch);
   bool should_delay(const Fetch& fetch) const;
@@ -180,6 +192,7 @@ class FetchManager {
   std::size_t pushes_cancelled_ = 0;
   /// Produce buffer reused by every connection's pump (util/pump.h).
   std::vector<std::uint8_t> staging_;
+  http::HeaderBlock h2_request_;  // see h2_request_headers()
 };
 
 }  // namespace h2push::browser

@@ -18,6 +18,11 @@ bool is_name_char(char c) {
 
 }  // namespace
 
+HtmlTokenizer::HtmlTokenizer() {
+  static const std::string kEmpty;
+  doc_ = &kEmpty;
+}
+
 std::optional<HtmlToken> HtmlTokenizer::next() {
   const std::string& doc = *doc_;
   while (pos_ < doc.size()) {

@@ -43,6 +43,9 @@ struct HtmlToken {
 /// partially received tag yields nullopt until more bytes arrive.
 class HtmlTokenizer {
  public:
+  /// A cursor over `doc`, which may grow between next() calls. The
+  /// default cursor reads an empty document.
+  HtmlTokenizer();
   explicit HtmlTokenizer(const std::string* doc) : doc_(doc) {}
 
   std::optional<HtmlToken> next();

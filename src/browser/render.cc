@@ -47,18 +47,21 @@ Renderer::Renderer(sim::Simulator& sim, const BrowserConfig& config,
 
 void Renderer::start() {
   auto main_fetch = fetches_.fetch(main_url_, NetPriority::kHighest);
+  // The tokenizers read the document text the fetch keeps.
+  parser_ = HtmlTokenizer(&main_fetch->body());
+  scanner_ = HtmlTokenizer(&main_fetch->body());
+  main_fetch_ = main_fetch;
   Fetch::Subscriber sub;
-  sub.on_data = [this](std::span<const std::uint8_t> data, bool fin) {
-    on_main_data(data, fin);
+  sub.on_data = [this](std::span<const std::uint8_t>, bool fin) {
+    on_main_data(fin);
   };
   sub.on_complete = [this](const Fetch&) {
-    if (!doc_complete_) on_main_data({}, true);
+    if (!doc_complete_) on_main_data(true);
   };
   main_fetch->subscribe(std::move(sub));
 }
 
-void Renderer::on_main_data(std::span<const std::uint8_t> data, bool fin) {
-  doc_.append(reinterpret_cast<const char*>(data.data()), data.size());
+void Renderer::on_main_data(bool fin) {
   if (fin) doc_complete_ = true;
   // connectEnd is known once the main transport finished its handshake.
   if (visual_.reference() == 0) {
@@ -73,7 +76,7 @@ void Renderer::on_main_data(std::span<const std::uint8_t> data, bool fin) {
 void Renderer::schedule_scan() {
   if (scan_scheduled_ || scanner_.at_end()) return;
   scan_scheduled_ = true;
-  const std::size_t avail = doc_.size() - scanner_.position();
+  const std::size_t avail = document().size() - scanner_.position();
   // The speculative scanner is much cheaper than full parsing.
   const double cost =
       static_cast<double>(avail) / (4.0 * config_.parse_rate_bytes_per_ms);
@@ -129,7 +132,7 @@ void Renderer::schedule_parse() {
   if (parse_scheduled_ || blocked_script_ || parse_complete_) return;
   if (parser_.at_end() && !doc_complete_) return;
   parse_scheduled_ = true;
-  const std::size_t avail = doc_.size() - parser_.position();
+  const std::size_t avail = document().size() - parser_.position();
   const std::size_t slice = std::min(avail, config_.parse_slice_bytes);
   const double cost =
       static_cast<double>(slice) / config_.parse_rate_bytes_per_ms;
@@ -256,7 +259,7 @@ void Renderer::add_stylesheet(const http::Url& url) {
   sheets_.push_back(std::move(sheet));
   Fetch::Subscriber sub;
   sub.on_complete = [this, index](const Fetch& fetch) {
-    const double cost = static_cast<double>(fetch.body().size()) /
+    const double cost = static_cast<double>(fetch.received_bytes()) /
                         config_.css_parse_rate_bytes_per_ms;
     main_.post(cost,
                [this, index, model = shared_stylesheet(fetch.body())] {
@@ -366,7 +369,7 @@ void Renderer::execute_script(const BlockedScript& script) {
   double cost = script.exec_ms_attr;
   if (cost < 0) {
     const double size = script.fetch
-                            ? static_cast<double>(script.fetch->body().size())
+                            ? static_cast<double>(script.fetch->received_bytes())
                             : static_cast<double>(script.inline_body.size());
     cost = size / config_.js_exec_rate_bytes_per_ms;
   }
@@ -457,7 +460,7 @@ std::optional<std::string> Renderer::required_font(
   for (const auto& sheet : sheets_) {
     if (!sheet.loaded) continue;
     for (const auto& rule : sheet.model->rules) {
-      const std::string family = rule.font_family();
+      const std::string& family = rule.font_family();
       if (family.empty()) continue;
       if (!matches(rule, unit.path)) continue;
       if (fonts_.count(family) != 0) return family;
@@ -490,7 +493,7 @@ double Renderer::unit_fraction(const PaintUnit& unit) const {
   }
   if (!unit.resource) return 1;
   if (unit.resource->complete()) return 1;
-  const std::size_t have = unit.resource->body().size();
+  const std::size_t have = unit.resource->received_bytes();
   if (have == 0) return 0;
   const std::size_t expect = unit.resource->expected_size();
   if (expect == 0) return 0;

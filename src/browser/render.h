@@ -86,7 +86,9 @@ class Renderer {
   };
 
   // --- main document plumbing ---
-  void on_main_data(std::span<const std::uint8_t> data, bool fin);
+  void on_main_data(bool fin);
+  /// The document text received so far (kept by the main fetch).
+  const std::string& document() const { return main_fetch_->body(); }
   void schedule_parse();
   void parse_slice();
   void handle_token(const HtmlToken& token);
@@ -125,11 +127,11 @@ class Renderer {
   FetchManager& fetches_;
   http::Url main_url_;
 
-  // Document buffer shared by the two cursors.
-  std::string doc_;
+  // The main document: its fetch keeps the text the two cursors read.
+  std::shared_ptr<Fetch> main_fetch_;
   bool doc_complete_ = false;
-  HtmlTokenizer parser_{&doc_};
-  HtmlTokenizer scanner_{&doc_};
+  HtmlTokenizer parser_;
+  HtmlTokenizer scanner_;
   bool parse_scheduled_ = false;
   bool scan_scheduled_ = false;
   bool scanner_in_head_ = true;

@@ -97,28 +97,29 @@ class SimTransport final : public browser::ClientTransport {
  private:
   static constexpr std::size_t kWriteChunk = 2 * 1460;  // the TCP watermark
 
-  /// The server's end of the session, as the writer its pump drains into.
-  struct ServerWriter {
+  /// The server's end of the session as its pump's sink: the connection
+  /// appends straight into the TCP send buffer, so each wire byte is
+  /// written once. Soft cap, like the client side (util/pump.h).
+  struct ServerSink {
+    static constexpr util::WriteCap kCap = util::WriteCap::kSoft;
     TcpConnection& tcp;
-    bool writable() const {
-      return tcp.writable(TcpConnection::Side::kServer);
+    std::size_t budget() const {
+      return tcp.writable(TcpConnection::Side::kServer) ? kWriteChunk : 0;
     }
-    std::size_t write_chunk() const { return kWriteChunk; }
-    void send(std::span<const std::uint8_t> bytes) {
-      tcp.send(TcpConnection::Side::kServer, bytes);
+    std::vector<std::uint8_t>& buffer() {
+      return tcp.write_buffer(TcpConnection::Side::kServer);
+    }
+    void commit(std::span<const std::uint8_t> bytes) {
+      tcp.commit(TcpConnection::Side::kServer, bytes.size());
     }
   };
 
-  void pump_server() {
-    ServerWriter writer{*tcp_};
-    util::pump(server_.connection(), util::StagedSink{writer, staging_});
-  }
+  void pump_server() { util::pump(server_.connection(), ServerSink{*tcp_}); }
 
   sim::Simulator& sim_;
   Server server_;
   std::unique_ptr<TcpConnection> tcp_;
   sim::Time connect_stagger_ = 0;
-  std::vector<std::uint8_t> staging_;  // the server side's produce buffer
   std::function<void()> on_connected_;
   std::function<void(std::span<const std::uint8_t>)> receiver_;
   std::function<void()> writable_cb_;

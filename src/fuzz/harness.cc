@@ -22,7 +22,7 @@ PeerHarnessResult run_server_harness(Random& r,
   h2::Connection* conn_ptr = nullptr;
   std::vector<std::uint32_t> to_answer;
   h2::Connection::Callbacks callbacks;
-  callbacks.on_headers = [&](std::uint32_t stream, http::HeaderBlock,
+  callbacks.on_headers = [&](std::uint32_t stream, const http::HeaderBlock&,
                              bool end_stream) {
     ++result.requests_seen;
     if (end_stream) to_answer.push_back(stream);

@@ -69,7 +69,8 @@ void Connection::start() {
   started_ = true;
   if (config_.role == Role::kClient) {
     auto preface = client_preface();
-    control_queue_.emplace_back(preface.begin(), preface.end());
+    control_bytes_.insert(control_bytes_.end(), preface.begin(), preface.end());
+    control_ends_.push_back(control_bytes_.size());
   }
   SettingsFrame settings;
   settings.settings.emplace_back(SettingsId::kHeaderTableSize,
@@ -104,7 +105,14 @@ void Connection::queue_control(const Frame& frame) {
     const FrameTraceInfo info = frame_trace_info(frame);
     trace_send(info.name, info.stream, info.bytes);
   }
-  control_queue_.push_back(serialize(frame, peer_max_frame_size_));
+  // Grown geometrically here: serialize_into reserves the exact size.
+  const std::size_t size = serialized_size(frame, peer_max_frame_size_);
+  if (control_bytes_.capacity() - control_bytes_.size() < size) {
+    control_bytes_.reserve(
+        std::max(control_bytes_.size() + size, 2 * control_bytes_.capacity()));
+  }
+  serialize_into(frame, control_bytes_, peer_max_frame_size_);
+  control_ends_.push_back(control_bytes_.size());
 }
 
 void Connection::queue_header_frame(std::uint32_t stream_id,
@@ -113,23 +121,44 @@ void Connection::queue_header_frame(std::uint32_t stream_id,
                                     const std::optional<PrioritySpec>& priority,
                                     std::uint32_t promised_id) {
   encoder_.encode_into(headers, hpack_scratch_);
-  std::vector<std::uint8_t> chunk;
   if (promised_id != 0) {
     if (trace_) {
       trace_send(to_string(FrameType::kPushPromise), stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size() + 4));
     }
-    append_push_promise_frame(chunk, stream_id, promised_id, hpack_scratch_,
-                              peer_max_frame_size_);
+    append_push_promise_frame(control_bytes_, stream_id, promised_id,
+                              hpack_scratch_, peer_max_frame_size_);
   } else {
     if (trace_) {
       trace_send(to_string(FrameType::kHeaders), stream_id,
                  static_cast<std::int64_t>(hpack_scratch_.size()));
     }
-    append_headers_frame(chunk, stream_id, end_stream, priority,
+    append_headers_frame(control_bytes_, stream_id, end_stream, priority,
                          hpack_scratch_, peer_max_frame_size_);
   }
-  control_queue_.push_back(std::move(chunk));
+  control_ends_.push_back(control_bytes_.size());
+}
+
+void Connection::compact_control() {
+  if (!control_pending()) {
+    control_bytes_.clear();
+    control_ends_.clear();
+    control_chunk_ = 0;
+    control_offset_ = 0;
+    return;
+  }
+  // A queue that never drains (a stalled live peer) drops its emitted
+  // prefix once that is at least half the buffer, so it stays bounded.
+  if (control_offset_ < control_bytes_.size() / 2) return;
+  control_bytes_.erase(
+      control_bytes_.begin(),
+      control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_offset_));
+  control_ends_.erase(
+      control_ends_.begin(),
+      control_ends_.begin() + static_cast<std::ptrdiff_t>(control_chunk_));
+  for (std::size_t& end : control_ends_) end -= control_offset_;
+  control_chunk_ = 0;
+  control_offset_ = 0;
 }
 
 void Connection::signal_write() {
@@ -252,7 +281,7 @@ bool Connection::data_ready(std::uint32_t id) const {
 }
 
 bool Connection::send_quiescent() const {
-  if (!control_queue_.empty()) return false;
+  if (control_pending()) return false;
   for (const auto& [id, s] : streams_) {
     if (s.body_pending) return false;
   }
@@ -260,7 +289,7 @@ bool Connection::send_quiescent() const {
 }
 
 bool Connection::want_write() const {
-  if (!control_queue_.empty()) return true;
+  if (control_pending()) return true;
   if (send_window_ <= 0) return false;
   for (const auto& [id, s] : streams_) {
     if (s.body_pending && s.send_window > 0) return true;
@@ -285,19 +314,17 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
   //    not flow controlled, sent ahead of DATA like real stacks do. Under
   //    the hard cap a chunk is split at byte granularity and the next call
   //    resumes it at control_offset_; under the soft cap it goes out whole.
-  while (!control_queue_.empty() && used() < max_bytes) {
-    const auto& chunk = control_queue_.front();
-    std::size_t take = chunk.size() - control_offset_;
+  while (control_pending() && used() < max_bytes) {
+    const std::size_t end = control_ends_[control_chunk_];
+    std::size_t take = end - control_offset_;
     if (hard) take = std::min(take, max_bytes - used());
     const auto begin =
-        chunk.begin() + static_cast<std::ptrdiff_t>(control_offset_);
+        control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_offset_);
     out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
     control_offset_ += take;
-    if (control_offset_ == chunk.size()) {
-      control_queue_.pop_front();
-      control_offset_ = 0;
-    }
+    if (control_offset_ == end) ++control_chunk_;
   }
+  compact_control();
   // 2. Scheduler-chosen DATA frames. Under the hard cap each frame is sized
   //    to the budget left, and a frame needs its 9-byte header plus one
   //    payload byte to be worth emitting: below that we stop and wait for
@@ -392,14 +419,8 @@ void Connection::receive(std::span<const std::uint8_t> bytes) {
     if (!rest.empty()) receive(rest);
     return;
   }
-  auto frames = parser_.feed(bytes);
-  if (!frames) {
-    connection_error(frames.error().code, frames.error().message);
-    return;
-  }
-  for (auto& frame : *frames) {
-    handle_frame(std::move(frame));
-    if (errored_) return;
+  if (auto error = parser_.parse(bytes, *this)) {
+    connection_error(error->code, error->message);
   }
 }
 
@@ -453,181 +474,201 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
   signal_write();
 }
 
-void Connection::handle_frame(Frame frame) {
+void Connection::trace_receive(std::string_view name, std::uint32_t stream,
+                               std::int64_t bytes) {
+  const std::string key(name);
+  trace_->instant(trace_track_, "h2", "recv " + key,
+                  {{"stream", stream}, {"bytes", bytes}});
+  ++trace_->summary().frames_received[key];
+}
+
+void Connection::on_data(const DataView& f) {
+  if (errored_) return;  // the rest of a chunk after a connection error
+  if (trace_) {
+    trace_receive(to_string(FrameType::kData), f.stream_id,
+                  static_cast<std::int64_t>(f.data.size()));
+  }
+  auto sit = streams_.find(f.stream_id);
+  if (sit == streams_.end()) {
+    connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
+    return;
+  }
+  Stream& s = sit->second;
+  // RFC 7540 §6.9: the whole frame payload, including padding, counts
+  // against flow control — even for streams we have already reset or
+  // half-closed.
+  const auto n = static_cast<std::int64_t>(f.data.size() + f.padding_bytes);
+  recv_window_ -= n;
+  if (recv_window_ < 0) {
+    connection_error(ErrorCode::kFlowControlError,
+                     "connection flow control violated by peer");
+    return;
+  }
+  if (s.state == StreamState::kClosed) {
+    // Post-RST straggler: connection-level accounting only (§5.1).
+    recv_unacked_ += static_cast<std::uint64_t>(n);
+    return;
+  }
+  if (s.remote_done) {
+    // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
+    submit_rst(f.stream_id, ErrorCode::kStreamClosed);
+    return;
+  }
+  s.recv_window -= n;
+  if (s.recv_window < 0) {
+    connection_error(ErrorCode::kFlowControlError,
+                     "stream flow control violated by peer");
+    return;
+  }
+  // Application consumes immediately; replenish at half-window.
+  s.recv_unacked += f.data.size() + f.padding_bytes;
+  recv_unacked_ += f.data.size() + f.padding_bytes;
+  if (!f.end_stream && s.recv_unacked > config_.initial_window / 2) {
+    queue_control(Frame{WindowUpdateFrame{
+        f.stream_id, static_cast<std::uint32_t>(s.recv_unacked)}});
+    s.recv_window += static_cast<std::int64_t>(s.recv_unacked);
+    s.recv_unacked = 0;
+  }
+  const std::uint64_t conn_threshold =
+      (static_cast<std::uint64_t>(kDefaultInitialWindow) +
+       config_.connection_window_bonus) / 2;
+  if (recv_unacked_ > conn_threshold) {
+    queue_control(Frame{WindowUpdateFrame{
+        0, static_cast<std::uint32_t>(recv_unacked_)}});
+    recv_window_ += static_cast<std::int64_t>(recv_unacked_);
+    recv_unacked_ = 0;
+  }
+  if (f.end_stream) {
+    s.remote_done = true;
+    if (s.state == StreamState::kOpen) {
+      s.state = StreamState::kHalfClosedRemote;
+    }
+  }
+  if (callbacks_.on_data) {
+    callbacks_.on_data(f.stream_id, f.data, f.end_stream);
+  }
+  maybe_close(f.stream_id);
+  signal_write();
+}
+
+bool Connection::decode_header_block(std::span<const std::uint8_t> block) {
+  if (const char* error = decoder_.decode_into(block, decoded_)) {
+    connection_error(ErrorCode::kCompressionError,
+                     std::string("hpack: ") + error);
+    return false;
+  }
+  return true;
+}
+
+void Connection::on_header_block(const HeaderBlockView& f) {
+  if (errored_) return;  // the rest of a chunk after a connection error
+  if (f.type == FrameType::kPushPromise) {
+    on_push_promise(f);
+    return;
+  }
+  if (trace_) {
+    trace_receive(to_string(FrameType::kHeaders), f.stream_id,
+                  static_cast<std::int64_t>(f.block.size()));
+  }
+  // Decode before any stream-level checks: the dynamic table must stay
+  // synchronized even for blocks on doomed streams (§4.3).
+  if (!decode_header_block(f.block)) return;
+  if (streams_.find(f.stream_id) == streams_.end()) {
+    if (config_.role == Role::kClient) {
+      // Every legitimate response stream exists at the client (we opened
+      // it or the peer promised it).
+      connection_error(ErrorCode::kProtocolError, "HEADERS on idle stream");
+      return;
+    }
+    if (f.stream_id % 2 == 0) {
+      connection_error(ErrorCode::kProtocolError,
+                       "client opened even stream");
+      return;
+    }
+    if (f.stream_id <= max_peer_stream_) {
+      connection_error(ErrorCode::kProtocolError,
+                       "stream id not monotonically increasing");
+      return;
+    }
+    max_peer_stream_ = f.stream_id;
+  }
+  Stream& s = ensure_stream(f.stream_id);
+  if (s.state == StreamState::kClosed) {
+    return;  // late HEADERS after RST: drop, keep HPACK state
+  }
+  if (s.remote_done) {
+    // §5.1 half-closed (remote): further HEADERS are a stream error of
+    // type STREAM_CLOSED.
+    submit_rst(f.stream_id, ErrorCode::kStreamClosed);
+    return;
+  }
+  if (s.state == StreamState::kIdle) s.state = StreamState::kOpen;
+  if (s.state == StreamState::kReservedRemote) {
+    s.state = StreamState::kHalfClosedLocal;
+  }
+  if (f.priority) {
+    scheduler_.on_reprioritized(f.stream_id, *f.priority);
+  } else if (config_.role == Role::kServer) {
+    scheduler_.on_stream_added(f.stream_id, PrioritySpec{});
+  }
+  if (f.end_stream) {
+    s.remote_done = true;
+    if (s.state == StreamState::kOpen) {
+      s.state = StreamState::kHalfClosedRemote;
+    }
+  }
+  if (callbacks_.on_headers) {
+    callbacks_.on_headers(f.stream_id, decoded_, f.end_stream);
+  }
+  maybe_close(f.stream_id);
+}
+
+void Connection::on_push_promise(const HeaderBlockView& f) {
+  if (trace_) {
+    trace_receive(to_string(FrameType::kPushPromise), f.stream_id,
+                  static_cast<std::int64_t>(f.block.size() + 4));
+  }
+  if (config_.role != Role::kClient) {
+    connection_error(ErrorCode::kProtocolError, "PUSH_PROMISE from client");
+    return;
+  }
+  if (!config_.enable_push) {
+    connection_error(ErrorCode::kProtocolError,
+                     "push disabled but PUSH_PROMISE received");
+    return;
+  }
+  if (!decode_header_block(f.block)) return;
+  auto parent = streams_.find(f.stream_id);
+  if (parent == streams_.end()) {
+    connection_error(ErrorCode::kProtocolError,
+                     "PUSH_PROMISE on idle stream");
+    return;
+  }
+  if (f.promised_id == 0 || f.promised_id % 2 != 0 ||
+      f.promised_id <= max_peer_stream_) {
+    connection_error(ErrorCode::kProtocolError, "promised stream id invalid");
+    return;
+  }
+  max_peer_stream_ = f.promised_id;
+  Stream& s = ensure_stream(f.promised_id);
+  s.state = StreamState::kReservedRemote;
+  s.local_done = true;  // we never send on a pushed stream
+  if (callbacks_.on_push_promise) {
+    callbacks_.on_push_promise(f.stream_id, f.promised_id, decoded_);
+  }
+}
+
+void Connection::on_frame(Frame&& frame) {
+  if (errored_) return;  // the rest of a chunk after a connection error
   if (trace_) {
     const FrameTraceInfo info = frame_trace_info(frame);
-    const std::string name(info.name);
-    trace_->instant(trace_track_, "h2", "recv " + name,
-                    {{"stream", info.stream}, {"bytes", info.bytes}});
-    ++trace_->summary().frames_received[name];
+    trace_receive(info.name, info.stream, info.bytes);
   }
   std::visit(
       [this](auto&& f) {
         using T = std::decay_t<decltype(f)>;
         if constexpr (std::is_same_v<T, SettingsFrame>) {
           if (!f.ack) apply_remote_settings(f);
-        } else if constexpr (std::is_same_v<T, HeadersFrame>) {
-          // Decode before any stream-level checks: the dynamic table must
-          // stay synchronized even for blocks on doomed streams (§4.3).
-          auto block = decoder_.decode(f.header_block);
-          if (!block) {
-            connection_error(ErrorCode::kCompressionError,
-                             "hpack: " + block.error());
-            return;
-          }
-          if (streams_.find(f.stream_id) == streams_.end()) {
-            if (config_.role == Role::kClient) {
-              // Every legitimate response stream exists at the client (we
-              // opened it or the peer promised it).
-              connection_error(ErrorCode::kProtocolError,
-                               "HEADERS on idle stream");
-              return;
-            }
-            if (f.stream_id % 2 == 0) {
-              connection_error(ErrorCode::kProtocolError,
-                               "client opened even stream");
-              return;
-            }
-            if (f.stream_id <= max_peer_stream_) {
-              connection_error(ErrorCode::kProtocolError,
-                               "stream id not monotonically increasing");
-              return;
-            }
-            max_peer_stream_ = f.stream_id;
-          }
-          Stream& s = ensure_stream(f.stream_id);
-          if (s.state == StreamState::kClosed) {
-            return;  // late HEADERS after RST: drop, keep HPACK state
-          }
-          if (s.remote_done) {
-            // §5.1 half-closed (remote): further HEADERS are a stream
-            // error of type STREAM_CLOSED.
-            submit_rst(f.stream_id, ErrorCode::kStreamClosed);
-            return;
-          }
-          if (s.state == StreamState::kIdle) s.state = StreamState::kOpen;
-          if (s.state == StreamState::kReservedRemote) {
-            s.state = StreamState::kHalfClosedLocal;
-          }
-          if (f.priority) {
-            scheduler_.on_reprioritized(f.stream_id, *f.priority);
-          } else if (config_.role == Role::kServer) {
-            scheduler_.on_stream_added(f.stream_id, PrioritySpec{});
-          }
-          if (f.end_stream) {
-            s.remote_done = true;
-            if (s.state == StreamState::kOpen) {
-              s.state = StreamState::kHalfClosedRemote;
-            }
-          }
-          if (callbacks_.on_headers) {
-            callbacks_.on_headers(f.stream_id, std::move(*block),
-                                  f.end_stream);
-          }
-          maybe_close(f.stream_id);
-        } else if constexpr (std::is_same_v<T, DataFrame>) {
-          auto sit = streams_.find(f.stream_id);
-          if (sit == streams_.end()) {
-            connection_error(ErrorCode::kProtocolError,
-                             "DATA on idle stream");
-            return;
-          }
-          Stream& s = sit->second;
-          // RFC 7540 §6.9: the whole frame payload, including padding,
-          // counts against flow control — even for streams we have
-          // already reset or half-closed.
-          const auto n =
-              static_cast<std::int64_t>(f.data.size() + f.padding_bytes);
-          recv_window_ -= n;
-          if (recv_window_ < 0) {
-            connection_error(ErrorCode::kFlowControlError,
-                             "connection flow control violated by peer");
-            return;
-          }
-          if (s.state == StreamState::kClosed) {
-            // Post-RST straggler: connection-level accounting only (§5.1).
-            recv_unacked_ += static_cast<std::uint64_t>(n);
-            return;
-          }
-          if (s.remote_done) {
-            // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
-            submit_rst(f.stream_id, ErrorCode::kStreamClosed);
-            return;
-          }
-          s.recv_window -= n;
-          if (s.recv_window < 0) {
-            connection_error(ErrorCode::kFlowControlError,
-                             "stream flow control violated by peer");
-            return;
-          }
-          // Application consumes immediately; replenish at half-window.
-          s.recv_unacked += f.data.size() + f.padding_bytes;
-          recv_unacked_ += f.data.size() + f.padding_bytes;
-          if (!f.end_stream &&
-              s.recv_unacked > config_.initial_window / 2) {
-            queue_control(Frame{WindowUpdateFrame{
-                f.stream_id, static_cast<std::uint32_t>(s.recv_unacked)}});
-            s.recv_window += static_cast<std::int64_t>(s.recv_unacked);
-            s.recv_unacked = 0;
-          }
-          const std::uint64_t conn_threshold =
-              (static_cast<std::uint64_t>(kDefaultInitialWindow) +
-               config_.connection_window_bonus) /
-              2;
-          if (recv_unacked_ > conn_threshold) {
-            queue_control(Frame{WindowUpdateFrame{
-                0, static_cast<std::uint32_t>(recv_unacked_)}});
-            recv_window_ += static_cast<std::int64_t>(recv_unacked_);
-            recv_unacked_ = 0;
-          }
-          if (f.end_stream) {
-            s.remote_done = true;
-            if (s.state == StreamState::kOpen) {
-              s.state = StreamState::kHalfClosedRemote;
-            }
-          }
-          if (callbacks_.on_data) {
-            callbacks_.on_data(f.stream_id, f.data, f.end_stream);
-          }
-          maybe_close(f.stream_id);
-          signal_write();
-        } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
-          if (config_.role != Role::kClient) {
-            connection_error(ErrorCode::kProtocolError,
-                             "PUSH_PROMISE from client");
-            return;
-          }
-          if (!config_.enable_push) {
-            connection_error(ErrorCode::kProtocolError,
-                             "push disabled but PUSH_PROMISE received");
-            return;
-          }
-          auto block = decoder_.decode(f.header_block);
-          if (!block) {
-            connection_error(ErrorCode::kCompressionError,
-                             "hpack: " + block.error());
-            return;
-          }
-          auto parent = streams_.find(f.stream_id);
-          if (parent == streams_.end()) {
-            connection_error(ErrorCode::kProtocolError,
-                             "PUSH_PROMISE on idle stream");
-            return;
-          }
-          if (f.promised_id == 0 || f.promised_id % 2 != 0 ||
-              f.promised_id <= max_peer_stream_) {
-            connection_error(ErrorCode::kProtocolError,
-                             "promised stream id invalid");
-            return;
-          }
-          max_peer_stream_ = f.promised_id;
-          Stream& s = ensure_stream(f.promised_id);
-          s.state = StreamState::kReservedRemote;
-          s.local_done = true;  // we never send on a pushed stream
-          if (callbacks_.on_push_promise) {
-            callbacks_.on_push_promise(f.stream_id, f.promised_id,
-                                       std::move(*block));
-          }
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           if (f.priority.depends_on == f.stream_id) {
             // §5.3.1: a stream cannot depend on itself — stream error.

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -50,7 +49,7 @@ enum class StreamState : std::uint8_t {
 /// browser parses HTML/CSS bodies it receives through the connection).
 using Body = std::shared_ptr<const std::string>;
 
-class Connection {
+class Connection : private FrameHandler {
  public:
   struct Config {
     Role role = Role::kClient;
@@ -68,16 +67,18 @@ class Connection {
 
   struct Callbacks {
     /// Complete header block received: a request (server role) or response
-    /// (client role).
-    std::function<void(std::uint32_t stream, http::HeaderBlock,
+    /// (client role). The block is the connection's decode buffer, reused
+    /// for the next header block: copy what must outlive the call.
+    std::function<void(std::uint32_t stream, const http::HeaderBlock&,
                        bool end_stream)>
         on_headers;
     std::function<void(std::uint32_t stream, std::span<const std::uint8_t>,
                        bool end_stream)>
         on_data;
-    /// Client role: PUSH_PROMISE received on `parent`.
+    /// Client role: PUSH_PROMISE received on `parent` (the request block
+    /// is reused like on_headers').
     std::function<void(std::uint32_t parent, std::uint32_t promised,
-                       http::HeaderBlock request_headers)>
+                       const http::HeaderBlock& request_headers)>
         on_push_promise;
     std::function<void(std::uint32_t stream, ErrorCode)> on_rst;
     std::function<void()> on_remote_settings;
@@ -199,7 +200,7 @@ class Connection {
   void queue_control(const Frame& frame);
   /// Encode `headers` into the reusable HPACK scratch buffer and queue a
   /// HEADERS (or, with `promised_id`, PUSH_PROMISE) frame built directly in
-  /// its control-queue slot — no intermediate Frame variant or block copy.
+  /// the control queue — no intermediate Frame variant or block copy.
   void queue_header_frame(std::uint32_t stream_id,
                           const http::HeaderBlock& headers, bool end_stream,
                           const std::optional<PrioritySpec>& priority,
@@ -207,11 +208,24 @@ class Connection {
   void trace_send(std::string_view name, std::uint32_t stream,
                   std::int64_t bytes);
   void connection_error(ErrorCode code, const std::string& message);
-  void handle_frame(Frame frame);
+  // FrameHandler: the parse loop's frames, DATA and header blocks by view.
+  void on_data(const DataView& frame) override;
+  void on_header_block(const HeaderBlockView& frame) override;
+  void on_frame(Frame&& frame) override;
+  void on_push_promise(const HeaderBlockView& frame);
+  /// Decode into decoded_; a failure is a connection error.
+  bool decode_header_block(std::span<const std::uint8_t> block);
+  void trace_receive(std::string_view name, std::uint32_t stream,
+                     std::int64_t bytes);
   void apply_remote_settings(const SettingsFrame& frame);
   Stream& ensure_stream(std::uint32_t id);
   void maybe_close(std::uint32_t id);
   bool data_ready(std::uint32_t id) const;
+  bool control_pending() const noexcept {
+    return control_chunk_ < control_ends_.size();
+  }
+  /// Drop emitted control bytes (all of them once the queue drains).
+  void compact_control();
   void signal_write();
 
   Config config_;
@@ -219,6 +233,7 @@ class Connection {
   FrameParser parser_;
   HpackEncoder encoder_;
   HpackDecoder decoder_;
+  http::HeaderBlock decoded_;  // the last header block decoded, reused
   TreeScheduler scheduler_;
 
   std::map<std::uint32_t, Stream> streams_;
@@ -239,9 +254,13 @@ class Connection {
   std::int64_t recv_window_ = kDefaultInitialWindow;
   std::uint64_t recv_unacked_ = 0;
 
-  std::deque<std::vector<std::uint8_t>> control_queue_;
-  std::size_t control_offset_ = 0;  // hard cap: bytes already emitted
-                                    // from the front control chunk
+  // Control frames waiting to go out, in one reused buffer: the bytes, and
+  // where each queued chunk (a frame, or HEADERS + CONTINUATIONs) ends —
+  // the soft cap emits whole chunks.
+  std::vector<std::uint8_t> control_bytes_;
+  std::vector<std::size_t> control_ends_;
+  std::size_t control_chunk_ = 0;   // first chunk not fully emitted
+  std::size_t control_offset_ = 0;  // control bytes emitted so far
   std::vector<std::uint8_t> hpack_scratch_;  // reused per header block
   std::uint64_t total_data_sent_ = 0;
   std::string last_error_;

@@ -62,9 +62,38 @@ std::uint8_t* put_priority(std::uint8_t* p, const PrioritySpec& prio) {
 
 constexpr std::size_t kFrameHeader = 9;
 
-util::Unexpected<ParseError> parse_error(ErrorCode code, std::string message) {
-  return util::make_unexpected(ParseError{code, std::move(message)});
+ParseError parse_error(ErrorCode code, std::string message) {
+  return ParseError{code, std::move(message)};
 }
+
+std::size_t frame_length(const std::uint8_t* header) {
+  return (static_cast<std::size_t>(header[0]) << 16) |
+         (static_cast<std::size_t>(header[1]) << 8) | header[2];
+}
+
+/// parse()'s handler for feed(): owning frames, DATA payloads copied out.
+class CollectingHandler final : public FrameHandler {
+ public:
+  void on_data(const DataView& frame) override {
+    frames.emplace_back(DataFrame{
+        frame.stream_id, frame.end_stream,
+        std::vector<std::uint8_t>(frame.data.begin(), frame.data.end()),
+        frame.padding_bytes});
+  }
+  void on_header_block(const HeaderBlockView& frame) override {
+    std::vector<std::uint8_t> block(frame.block.begin(), frame.block.end());
+    if (frame.type == FrameType::kPushPromise) {
+      frames.emplace_back(PushPromiseFrame{frame.stream_id, frame.promised_id,
+                                           std::move(block)});
+    } else {
+      frames.emplace_back(HeadersFrame{frame.stream_id, frame.end_stream,
+                                       frame.priority, std::move(block)});
+    }
+  }
+  void on_frame(Frame&& frame) override { frames.push_back(std::move(frame)); }
+
+  std::vector<Frame> frames;
+};
 
 /// Wire size of a HEADERS/PUSH_PROMISE carrying `block` bytes whose first
 /// frame has `first_cap` payload capacity, plus CONTINUATION overhead.
@@ -153,10 +182,11 @@ std::size_t serialized_size(const Frame& frame,
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
                        std::span<const std::uint8_t> payload) {
-  std::uint8_t* p = grow(out, kFrameHeader + payload.size());
-  p = put_frame_header(p, payload.size(), FrameType::kData,
-                       end_stream ? kFlagEndStream : 0, stream_id);
-  put_bytes(p, payload.data(), payload.size());
+  // The payload is appended, not written into a grow()n region: resize
+  // would zero-fill every payload byte before the copy overwrote it.
+  put_frame_header(grow(out, kFrameHeader), payload.size(), FrameType::kData,
+                   end_stream ? kFlagEndStream : 0, stream_id);
+  out.insert(out.end(), payload.begin(), payload.end());
 }
 
 void append_headers_frame(std::vector<std::uint8_t>& out,
@@ -291,10 +321,17 @@ std::vector<std::uint8_t> serialize(const Frame& frame,
   return out;
 }
 
-util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
-    std::span<const std::uint8_t> payload, std::uint8_t type,
-    std::uint8_t flags, std::uint32_t stream_id) {
+std::optional<ParseError> FrameParser::dispatch(
+    std::span<const std::uint8_t> frame, FrameHandler& handler) {
+  const std::uint8_t type = frame[3];
+  const std::uint8_t flags = frame[4];
+  const std::uint32_t stream_id = get_u32(frame, 5) & 0x7fffffff;
+  const std::span<const std::uint8_t> payload = frame.subspan(kFrameHeader);
   const auto ft = static_cast<FrameType>(type);
+  const auto handle = [&handler](Frame&& f) -> std::optional<ParseError> {
+    handler.on_frame(std::move(f));
+    return std::nullopt;
+  };
 
   // §6.10: once a HEADERS/PUSH_PROMISE without END_HEADERS is on the wire,
   // only CONTINUATION frames for that stream may follow.
@@ -305,7 +342,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
   switch (ft) {
     case FrameType::kData: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "DATA on stream 0");
-      DataFrame f;
+      DataView f;
       f.stream_id = stream_id;
       f.end_stream = flags & kFlagEndStream;
       std::size_t pos = 0;
@@ -320,14 +357,15 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
           return parse_error(ErrorCode::kProtocolError, "DATA: pad beyond frame");
         }
       }
-      f.data.assign(payload.begin() + static_cast<std::ptrdiff_t>(pos),
-                    payload.end() - static_cast<std::ptrdiff_t>(pad));
+      f.data = payload.subspan(pos, payload.size() - pos - pad);
       f.padding_bytes = pos + pad;  // Pad-Length octet + padding
-      return std::optional<Frame>(std::move(f));
+      handler.on_data(f);
+      return std::nullopt;
     }
     case FrameType::kHeaders: {
       if (stream_id == 0) return parse_error(ErrorCode::kProtocolError, "HEADERS on stream 0");
-      HeadersFrame f;
+      HeaderBlockView f;
+      f.type = FrameType::kHeaders;
       f.stream_id = stream_id;
       f.end_stream = flags & kFlagEndStream;
       std::size_t pos = 0;
@@ -350,14 +388,9 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       if (pad + pos > payload.size()) {
         return parse_error(ErrorCode::kProtocolError, "HEADERS: pad beyond frame");
       }
-      f.header_block.assign(
-          payload.begin() + static_cast<std::ptrdiff_t>(pos),
-          payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return std::optional<Frame>(std::move(f));
-      pending_headers_ = std::move(f);
-      pending_is_push_promise_ = false;
-      expecting_continuation_ = true;
-      return std::optional<Frame>(std::nullopt);
+      f.block = payload.subspan(pos, payload.size() - pos - pad);
+      begin_header_block(f, flags, handler);
+      return std::nullopt;
     }
     case FrameType::kPriority: {
       if (stream_id == 0) {
@@ -369,7 +402,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       PriorityFrame f;
       f.stream_id = stream_id;
       f.priority = get_priority(payload, 0);
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kRstStream: {
       if (stream_id == 0) {
@@ -381,7 +414,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       RstStreamFrame f;
       f.stream_id = stream_id;
       f.error = static_cast<ErrorCode>(get_u32(payload, 0));
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kSettings: {
       if (stream_id != 0) {
@@ -401,13 +434,14 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
             (static_cast<std::uint16_t>(payload[i]) << 8) | payload[i + 1]);
         f.settings.emplace_back(id, get_u32(payload, i + 2));
       }
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kPushPromise: {
       if (stream_id == 0) {
         return parse_error(ErrorCode::kProtocolError, "PUSH_PROMISE on stream 0");
       }
-      PushPromiseFrame f;
+      HeaderBlockView f;
+      f.type = FrameType::kPushPromise;
       f.stream_id = stream_id;
       std::size_t pos = 0;
       std::size_t pad = 0;
@@ -422,14 +456,9 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kFrameSizeError, "PUSH_PROMISE: truncated");
       }
       f.promised_id = get_u32(payload, pos) & 0x7fffffff;
-      f.header_block.assign(
-          payload.begin() + static_cast<std::ptrdiff_t>(pos + 4),
-          payload.end() - static_cast<std::ptrdiff_t>(pad));
-      if (flags & kFlagEndHeaders) return std::optional<Frame>(std::move(f));
-      pending_push_ = std::move(f);
-      pending_is_push_promise_ = true;
-      expecting_continuation_ = true;
-      return std::optional<Frame>(std::nullopt);
+      f.block = payload.subspan(pos + 4, payload.size() - pos - 4 - pad);
+      begin_header_block(f, flags, handler);
+      return std::nullopt;
     }
     case FrameType::kPing: {
       if (stream_id != 0) {
@@ -442,7 +471,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.ack = flags & kFlagAck;
       f.opaque = 0;
       for (int i = 0; i < 8; ++i) f.opaque = (f.opaque << 8) | payload[i];
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kGoaway: {
       if (stream_id != 0) {
@@ -455,7 +484,7 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
       f.last_stream_id = get_u32(payload, 0) & 0x7fffffff;
       f.error = static_cast<ErrorCode>(get_u32(payload, 4));
       f.debug_data.assign(payload.begin() + 8, payload.end());
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kWindowUpdate: {
       if (payload.size() != 4) {
@@ -468,33 +497,27 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
         return parse_error(ErrorCode::kProtocolError,
                            "WINDOW_UPDATE: zero increment");
       }
-      return std::optional<Frame>(std::move(f));
+      return handle(std::move(f));
     }
     case FrameType::kContinuation: {
       if (!expecting_continuation_) {
         return parse_error(ErrorCode::kProtocolError, "unexpected CONTINUATION");
       }
-      auto& block = pending_is_push_promise_ ? pending_push_.header_block
-                                             : pending_headers_.header_block;
-      const std::uint32_t expected_stream = pending_is_push_promise_
-                                                ? pending_push_.stream_id
-                                                : pending_headers_.stream_id;
-      if (stream_id != expected_stream) {
+      if (stream_id != pending_.stream_id) {
         return parse_error(ErrorCode::kProtocolError, "CONTINUATION: wrong stream");
       }
-      if (block.size() + payload.size() > max_header_block_) {
+      if (pending_block_.size() + payload.size() > max_header_block_) {
         return parse_error(ErrorCode::kEnhanceYourCalm,
                            "header block exceeds reassembly cap");
       }
-      block.insert(block.end(), payload.begin(), payload.end());
+      pending_block_.insert(pending_block_.end(), payload.begin(),
+                            payload.end());
       if (flags & kFlagEndHeaders) {
         expecting_continuation_ = false;
-        if (pending_is_push_promise_) {
-          return std::optional<Frame>(std::move(pending_push_));
-        }
-        return std::optional<Frame>(std::move(pending_headers_));
+        pending_.block = pending_block_;
+        handler.on_header_block(pending_);
       }
-      return std::optional<Frame>(std::nullopt);
+      return std::nullopt;
     }
   }
   // Unknown frame types are surfaced as extension frames; a connection
@@ -504,35 +527,76 @@ util::Expected<std::optional<Frame>, ParseError> FrameParser::parse_one(
   f.flags = flags;
   f.stream_id = stream_id;
   f.payload.assign(payload.begin(), payload.end());
-  return std::optional<Frame>(std::move(f));
+  return handle(std::move(f));
+}
+
+void FrameParser::begin_header_block(const HeaderBlockView& frame,
+                                     std::uint8_t flags,
+                                     FrameHandler& handler) {
+  if (flags & kFlagEndHeaders) {
+    handler.on_header_block(frame);
+    return;
+  }
+  pending_ = frame;
+  pending_block_.assign(frame.block.begin(), frame.block.end());
+  expecting_continuation_ = true;
+}
+
+std::optional<ParseError> FrameParser::poison(ParseError error) {
+  error_ = std::move(error);
+  return error_;
+}
+
+std::optional<ParseError> FrameParser::parse(
+    std::span<const std::uint8_t> bytes, FrameHandler& handler) {
+  if (error_) return error_;
+  std::size_t pos = 0;
+  // Append up to `want` more bytes of the input to the pending frame.
+  const auto take = [&](std::size_t want) {
+    const std::size_t n = std::min(want, bytes.size() - pos);
+    const auto from = bytes.begin() + static_cast<std::ptrdiff_t>(pos);
+    buffer_.insert(buffer_.end(), from, from + static_cast<std::ptrdiff_t>(n));
+    pos += n;
+  };
+  if (!buffer_.empty()) {
+    // Finish the frame an earlier chunk began: header first, then payload.
+    if (buffer_.size() < kFrameHeader) take(kFrameHeader - buffer_.size());
+    if (buffer_.size() < kFrameHeader) return std::nullopt;
+    const std::size_t length = frame_length(buffer_.data());
+    if (length > max_frame_size_) {
+      return poison(parse_error(ErrorCode::kFrameSizeError,
+                                "frame exceeds max frame size"));
+    }
+    take(kFrameHeader + length - buffer_.size());
+    if (buffer_.size() < kFrameHeader + length) return std::nullopt;
+    auto error = dispatch(buffer_, handler);
+    buffer_.clear();
+    if (error) return poison(std::move(*error));
+  }
+  while (bytes.size() - pos >= kFrameHeader) {
+    const std::size_t length = frame_length(bytes.data() + pos);
+    if (length > max_frame_size_) {
+      return poison(parse_error(ErrorCode::kFrameSizeError,
+                                "frame exceeds max frame size"));
+    }
+    if (bytes.size() - pos < kFrameHeader + length) break;
+    if (auto error = dispatch(bytes.subspan(pos, kFrameHeader + length),
+                              handler)) {
+      return poison(std::move(*error));
+    }
+    pos += kFrameHeader + length;
+  }
+  take(bytes.size() - pos);  // the start of a frame the next chunk ends
+  return std::nullopt;
 }
 
 util::Expected<std::vector<Frame>, ParseError> FrameParser::feed(
     std::span<const std::uint8_t> bytes) {
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  std::vector<Frame> frames;
-  std::size_t consumed = 0;
-  while (buffer_.size() - consumed >= 9) {
-    const std::uint8_t* p = buffer_.data() + consumed;
-    const std::size_t length = (static_cast<std::size_t>(p[0]) << 16) |
-                               (static_cast<std::size_t>(p[1]) << 8) | p[2];
-    if (length > max_frame_size_) {
-      return parse_error(ErrorCode::kFrameSizeError,
-                         "frame exceeds max frame size");
-    }
-    if (buffer_.size() - consumed < 9 + length) break;
-    const std::uint8_t type = p[3];
-    const std::uint8_t flags = p[4];
-    const std::uint32_t stream_id =
-        get_u32({p + 5, 4}, 0) & 0x7fffffff;
-    auto result = parse_one({p + 9, length}, type, flags, stream_id);
-    if (!result) return util::make_unexpected(result.error());
-    if (result->has_value()) frames.push_back(std::move(**result));
-    consumed += 9 + length;
+  CollectingHandler collect;
+  if (auto error = parse(bytes, collect)) {
+    return util::make_unexpected(std::move(*error));
   }
-  buffer_.erase(buffer_.begin(),
-                buffer_.begin() + static_cast<std::ptrdiff_t>(consumed));
-  return frames;
+  return std::move(collect.frames);
 }
 
 }  // namespace h2push::h2

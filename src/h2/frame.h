@@ -4,7 +4,8 @@
 // consumes a TCP byte stream and yields frames as they complete. All ten
 // frame types are implemented; HEADERS/PUSH_PROMISE carry opaque HPACK
 // blocks (CONTINUATION reassembly is handled by the parser so consumers
-// always see complete header blocks).
+// always see complete header blocks). The parse loop hands DATA payloads on
+// as views, so receiving DATA copies and allocates nothing per frame.
 #pragma once
 
 #include <cstdint>
@@ -151,6 +152,29 @@ struct WindowUpdateFrame {
   bool operator==(const WindowUpdateFrame&) const = default;
 };
 
+/// A DATA frame as FrameParser::parse hands it on. `data` views the bytes
+/// being parsed — the caller's chunk, or the parser's buffer for a frame
+/// that spanned chunks — and is valid only during the handler call.
+struct DataView {
+  std::uint32_t stream_id = 0;
+  bool end_stream = false;
+  std::span<const std::uint8_t> data;
+  std::size_t padding_bytes = 0;  ///< as DataFrame::padding_bytes
+};
+
+/// A complete header block as FrameParser::parse hands it on: a HEADERS or
+/// PUSH_PROMISE frame with its CONTINUATIONs folded in. `block` views the
+/// frame, or the parser's reassembly buffer after CONTINUATIONs, and is
+/// valid only during the handler call.
+struct HeaderBlockView {
+  FrameType type = FrameType::kHeaders;  ///< kHeaders or kPushPromise
+  std::uint32_t stream_id = 0;
+  bool end_stream = false;               ///< HEADERS only
+  std::optional<PrioritySpec> priority;  ///< HEADERS only
+  std::uint32_t promised_id = 0;         ///< PUSH_PROMISE only
+  std::span<const std::uint8_t> block;
+};
+
 /// Frames of types outside RFC 7540 (e.g. CACHE_DIGEST, 0xd). RFC 7540 §4.1
 /// requires implementations to ignore unknown types; we surface them so
 /// extensions can hook in, and drop them at the Connection if unhandled.
@@ -210,6 +234,18 @@ void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::uint32_t max_frame_size =
                                    kDefaultMaxFrameSize);
 
+/// Receives the frames FrameParser::parse completes, in wire order.
+class FrameHandler {
+ public:
+  virtual void on_data(const DataView& frame) = 0;
+  virtual void on_header_block(const HeaderBlockView& frame) = 0;
+  /// Every other frame type, owning.
+  virtual void on_frame(Frame&& frame) = 0;
+
+ protected:
+  ~FrameHandler() = default;
+};
+
 /// Incremental parser over the connection byte stream. The caller feeds
 /// arbitrary chunks; complete frames come back in order. The client
 /// connection preface must be consumed by the caller before feeding.
@@ -218,8 +254,20 @@ class FrameParser {
   explicit FrameParser(std::uint32_t max_frame_size = kDefaultMaxFrameSize)
       : max_frame_size_(max_frame_size) {}
 
-  /// Feed bytes; returns the frames completed by this chunk, or a connection
-  /// error (the stream is poisoned afterwards).
+  /// The parse loop: hand each frame `bytes` completes to `handler`, in
+  /// order, DATA and header blocks by view. A frame wholly inside `bytes`
+  /// is parsed where it lies; only the bytes of a frame that spans chunks
+  /// (or a header block continued in CONTINUATIONs) are copied, once, into
+  /// the parser.
+  /// Returns the connection error that stopped parsing, if any (frames
+  /// before it were handled; the stream is poisoned afterwards). The
+  /// handler must not feed this parser.
+  std::optional<ParseError> parse(std::span<const std::uint8_t> bytes,
+                                  FrameHandler& handler);
+
+  /// parse() collecting owning frames (views copied out), for tests and
+  /// fuzzers: the frames completed by this chunk, or the connection error
+  /// (the stream is poisoned afterwards).
   util::Expected<std::vector<Frame>, ParseError> feed(
       std::span<const std::uint8_t> bytes);
 
@@ -235,18 +283,25 @@ class FrameParser {
   }
 
  private:
-  util::Expected<std::optional<Frame>, ParseError> parse_one(
-      std::span<const std::uint8_t> payload, std::uint8_t type,
-      std::uint8_t flags, std::uint32_t stream_id);
+  /// Parse one complete frame (header included) and hand it on.
+  std::optional<ParseError> dispatch(std::span<const std::uint8_t> frame,
+                                     FrameHandler& handler);
+  /// Hand on a HEADERS/PUSH_PROMISE block, or hold it for CONTINUATIONs.
+  void begin_header_block(const HeaderBlockView& frame, std::uint8_t flags,
+                          FrameHandler& handler);
 
-  std::vector<std::uint8_t> buffer_;
+  /// Record and return a connection error: parse() repeats it from now on.
+  std::optional<ParseError> poison(ParseError error);
+
+  std::vector<std::uint8_t> buffer_;  // a frame begun in an earlier chunk
+  std::optional<ParseError> error_;   // set once the stream is poisoned
   std::uint32_t max_frame_size_;
   std::size_t max_header_block_ = 1 << 20;
-  // CONTINUATION reassembly state.
+  // CONTINUATION reassembly state: the frame the block began in, and the
+  // block so far.
   bool expecting_continuation_ = false;
-  bool pending_is_push_promise_ = false;
-  HeadersFrame pending_headers_;
-  PushPromiseFrame pending_push_;
+  HeaderBlockView pending_;
+  std::vector<std::uint8_t> pending_block_;
 };
 
 /// The 24-byte client connection preface (RFC 7540 §3.5).

@@ -1,6 +1,7 @@
 #include "h2/hpack.h"
 
 #include <array>
+#include <cassert>
 
 #include "h2/hpack_huffman.h"
 
@@ -75,15 +76,67 @@ constexpr std::array<std::pair<std::string_view, std::string_view>, 61>
 
 constexpr std::size_t kEntryOverhead = 32;
 
+/// The static table by name: an open-addressed hash of each distinct name
+/// to the run of entries carrying it (entries sharing a name are adjacent
+/// in Appendix A), so the encoder's lookup is one hash and one compare
+/// instead of a scan of 61 entries.
+class StaticIndex {
+ public:
+  struct Run {
+    std::string_view name;
+    std::uint8_t first = 0;  // 1-based index of the first entry
+    std::uint8_t count = 0;
+  };
+
+  StaticIndex() {
+    for (std::size_t i = 0; i < kStaticTable.size(); ++i) {
+      const std::string_view name = kStaticTable[i].first;
+      Run& run = slot(name);
+      if (run.count == 0) {
+        run.name = name;
+        run.first = static_cast<std::uint8_t>(i + 1);
+      }
+      assert(run.first + run.count == i + 1 && "static names not adjacent");
+      ++run.count;
+    }
+  }
+
+  /// The entries named `name`, or nullptr.
+  const Run* find(std::string_view name) const {
+    const Run& run = slots_[probe(name)];
+    return run.count == 0 ? nullptr : &run;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 128;  // > 2x the 52 distinct names
+
+  std::size_t probe(std::string_view name) const {
+    std::uint32_t h = 2166136261u;  // FNV-1a
+    for (const char c : name) {
+      h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
+    }
+    std::size_t i = h % kSlots;
+    while (slots_[i].count != 0 && slots_[i].name != name) {
+      i = (i + 1) % kSlots;
+    }
+    return i;
+  }
+  Run& slot(std::string_view name) { return slots_[probe(name)]; }
+
+  std::array<Run, kSlots> slots_{};
+};
+
 // Find in static table: returns 1-based index of exact match (0 = none);
 // name_only gets the first name match.
-std::size_t static_find(const std::string& name, const std::string& value,
+std::size_t static_find(std::string_view name, std::string_view value,
                         std::size_t& name_only) {
+  static const StaticIndex index;
   name_only = 0;
-  for (std::size_t i = 0; i < kStaticTable.size(); ++i) {
-    if (kStaticTable[i].first != name) continue;
-    if (name_only == 0) name_only = i + 1;
-    if (kStaticTable[i].second == value) return i + 1;
+  const StaticIndex::Run* run = index.find(name);
+  if (run == nullptr) return 0;
+  name_only = run->first;
+  for (std::size_t i = run->first; i < run->first + run->count; ++i) {
+    if (kStaticTable[i - 1].second == value) return i;
   }
   return 0;
 }
@@ -120,24 +173,38 @@ void hpack_encode_int(std::uint64_t value, int prefix_bits,
   out.push_back(static_cast<std::uint8_t>(value));
 }
 
-util::Expected<std::uint64_t, std::string> hpack_decode_int(
-    std::span<const std::uint8_t> in, std::size_t& pos, int prefix_bits) {
-  if (pos >= in.size()) return util::make_unexpected("int: truncated");
+namespace {
+
+/// hpack_decode_int without the owning error: the message, or nullptr.
+const char* decode_int(std::span<const std::uint8_t> in, std::size_t& pos,
+                       int prefix_bits, std::uint64_t& value) {
+  if (pos >= in.size()) return "int: truncated";
   const std::uint64_t max_prefix = (1ULL << prefix_bits) - 1;
-  std::uint64_t value = in[pos++] & max_prefix;
-  if (value < max_prefix) return value;
+  value = in[pos++] & max_prefix;
+  if (value < max_prefix) return nullptr;
   int shift = 0;
   while (true) {
-    if (pos >= in.size()) return util::make_unexpected("int: truncated");
-    if (shift > 56) return util::make_unexpected("int: overflow");
+    if (pos >= in.size()) return "int: truncated";
+    if (shift > 56) return "int: overflow";
     const std::uint8_t byte = in[pos++];
     value += static_cast<std::uint64_t>(byte & 0x7f) << shift;
-    if ((byte & 0x80) == 0) return value;
+    if ((byte & 0x80) == 0) return nullptr;
     shift += 7;
   }
 }
 
-void HpackDynamicTable::add(std::string name, std::string value) {
+}  // namespace
+
+util::Expected<std::uint64_t, std::string> hpack_decode_int(
+    std::span<const std::uint8_t> in, std::size_t& pos, int prefix_bits) {
+  std::uint64_t value = 0;
+  if (const char* error = decode_int(in, pos, prefix_bits, value)) {
+    return util::make_unexpected(std::string(error));
+  }
+  return value;
+}
+
+void HpackDynamicTable::add(std::string_view name, std::string_view value) {
   const std::size_t entry_size = name.size() + value.size() + kEntryOverhead;
   if (entry_size > max_size_) {
     // An entry larger than the table empties it (RFC 7541 §4.4).
@@ -146,7 +213,7 @@ void HpackDynamicTable::add(std::string name, std::string value) {
   }
   evict_to(max_size_ - entry_size);
   size_ += entry_size;
-  entries_.push_front({std::move(name), std::move(value)});
+  entries_.push_front({std::string(name), std::string(value)});
 }
 
 void HpackDynamicTable::set_max_size(std::size_t max) {
@@ -238,101 +305,102 @@ void HpackEncoder::encode_into(const http::HeaderBlock& block,
   }
 }
 
-util::Expected<http::Header, std::string> HpackDecoder::lookup(
+util::Expected<HpackDecoder::FieldView, const char*> HpackDecoder::lookup(
     std::uint64_t index) const {
   if (index == 0) return util::make_unexpected("hpack: index 0");
   if (index <= kStaticTable.size()) {
     const auto& [name, value] = kStaticTable[index - 1];
-    return http::Header{std::string(name), std::string(value)};
+    return FieldView{name, value};
   }
   const std::uint64_t dyn = index - kStaticTable.size() - 1;
   if (dyn >= table_.entry_count()) {
     return util::make_unexpected("hpack: index out of range");
   }
-  return table_.at(dyn);
+  const http::Header& entry = table_.at(dyn);
+  return FieldView{entry.name, entry.value};
 }
 
-util::Expected<std::string, std::string> HpackDecoder::decode_string(
-    std::span<const std::uint8_t> in, std::size_t& pos) {
-  if (pos >= in.size()) return util::make_unexpected("string: truncated");
+const char* HpackDecoder::decode_string(std::span<const std::uint8_t> in,
+                                        std::size_t& pos, std::string& out) {
+  if (pos >= in.size()) return "string: truncated";
   const bool huffman = (in[pos] & 0x80) != 0;
-  auto len = hpack_decode_int(in, pos, 7);
-  if (!len) return util::make_unexpected(len.error());
-  if (pos + *len > in.size()) {
-    return util::make_unexpected("string: length beyond block");
-  }
-  const auto payload = in.subspan(pos, static_cast<std::size_t>(*len));
-  pos += static_cast<std::size_t>(*len);
-  if (!huffman) return std::string(payload.begin(), payload.end());
-  return huffman_decode(payload);
+  std::uint64_t len = 0;
+  if (const char* error = decode_int(in, pos, 7, len)) return error;
+  if (pos + len > in.size()) return "string: length beyond block";
+  const auto payload = in.subspan(pos, static_cast<std::size_t>(len));
+  pos += static_cast<std::size_t>(len);
+  if (huffman) return huffman_decode_into(payload, out);
+  out.append(reinterpret_cast<const char*>(payload.data()), payload.size());
+  return nullptr;
 }
 
 util::Expected<http::HeaderBlock, std::string> HpackDecoder::decode(
     std::span<const std::uint8_t> input) {
   http::HeaderBlock block;
-  std::size_t pos = 0;
-  bool seen_header = false;
-  while (pos < input.size()) {
-    const std::uint8_t b = input[pos];
-    if (b & 0x80) {
-      // Indexed header field.
-      auto index = hpack_decode_int(input, pos, 7);
-      if (!index) return util::make_unexpected(index.error());
-      auto header = lookup(*index);
-      if (!header) return util::make_unexpected(header.error());
-      block.push_back(*header);
-      seen_header = true;
-    } else if (b & 0x40) {
-      // Literal with incremental indexing.
-      auto index = hpack_decode_int(input, pos, 6);
-      if (!index) return util::make_unexpected(index.error());
-      std::string name;
-      if (*index == 0) {
-        auto n = decode_string(input, pos);
-        if (!n) return util::make_unexpected(n.error());
-        name = std::move(*n);
-      } else {
-        auto h = lookup(*index);
-        if (!h) return util::make_unexpected(h.error());
-        name = h->name;
-      }
-      auto value = decode_string(input, pos);
-      if (!value) return util::make_unexpected(value.error());
-      table_.add(name, *value);
-      block.push_back({std::move(name), std::move(*value)});
-      seen_header = true;
-    } else if (b & 0x20) {
-      // Dynamic table size update; must precede header fields (§4.2).
-      if (seen_header) {
-        return util::make_unexpected("hpack: size update after header");
-      }
-      auto size = hpack_decode_int(input, pos, 5);
-      if (!size) return util::make_unexpected(size.error());
-      if (*size > settings_max_) {
-        return util::make_unexpected("hpack: size update above SETTINGS cap");
-      }
-      table_.set_max_size(static_cast<std::size_t>(*size));
-    } else {
-      // Literal without indexing (0x00) or never-indexed (0x10).
-      auto index = hpack_decode_int(input, pos, 4);
-      if (!index) return util::make_unexpected(index.error());
-      std::string name;
-      if (*index == 0) {
-        auto n = decode_string(input, pos);
-        if (!n) return util::make_unexpected(n.error());
-        name = std::move(*n);
-      } else {
-        auto h = lookup(*index);
-        if (!h) return util::make_unexpected(h.error());
-        name = h->name;
-      }
-      auto value = decode_string(input, pos);
-      if (!value) return util::make_unexpected(value.error());
-      block.push_back({std::move(name), std::move(*value)});
-      seen_header = true;
-    }
+  if (const char* error = decode_into(input, block)) {
+    return util::make_unexpected(std::string(error));
   }
   return block;
+}
+
+const char* HpackDecoder::decode_into(std::span<const std::uint8_t> input,
+                                      http::HeaderBlock& out) {
+  std::size_t fields = 0;
+  // The next field, cleared, over the storage `out` already holds there.
+  const auto next_field = [&]() -> http::Header& {
+    if (fields == out.size()) out.emplace_back();
+    http::Header& field = out[fields++];
+    field.name.clear();
+    field.value.clear();
+    return field;
+  };
+  std::size_t pos = 0;
+  while (pos < input.size()) {
+    const std::uint8_t b = input[pos];
+    std::uint64_t index = 0;
+    if (b & 0x80) {
+      // Indexed header field.
+      if (const char* error = decode_int(input, pos, 7, index)) return error;
+      auto entry = lookup(index);
+      if (!entry) return entry.error();
+      http::Header& field = next_field();
+      field.name.assign(entry->name);
+      field.value.assign(entry->value);
+    } else if ((b & 0xe0) == 0x20) {
+      // Dynamic table size update; must precede header fields (§4.2).
+      if (fields != 0) return "hpack: size update after header";
+      if (const char* error = decode_int(input, pos, 5, index)) return error;
+      if (index > settings_max_) {
+        return "hpack: size update above SETTINGS cap";
+      }
+      table_.set_max_size(static_cast<std::size_t>(index));
+    } else {
+      // Literal with incremental indexing (0x40), without indexing (0x00)
+      // or never indexed (0x10).
+      const bool indexing = (b & 0x40) != 0;
+      if (const char* error = decode_int(input, pos, indexing ? 6 : 4, index)) {
+        return error;
+      }
+      http::Header& field = next_field();
+      if (index == 0) {
+        if (const char* error = decode_string(input, pos, field.name)) {
+          return error;
+        }
+      } else {
+        auto entry = lookup(index);
+        if (!entry) return entry.error();
+        field.name.assign(entry->name);
+      }
+      if (const char* error = decode_string(input, pos, field.value)) {
+        return error;
+      }
+      // The table copies the built field: a looked-up name viewed an
+      // entry this insertion may evict.
+      if (indexing) table_.add(field.name, field.value);
+    }
+  }
+  out.resize(fields);
+  return nullptr;
 }
 
 }  // namespace h2push::h2

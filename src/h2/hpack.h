@@ -54,7 +54,8 @@ class HpackDynamicTable {
   explicit HpackDynamicTable(std::size_t max_size = 4096)
       : max_size_(max_size) {}
 
-  void add(std::string name, std::string value);
+  /// Insert a copy of the field as the newest entry.
+  void add(std::string_view name, std::string_view value);
   void set_max_size(std::size_t max);
 
   std::size_t entry_count() const noexcept { return entries_.size(); }
@@ -111,8 +112,17 @@ class HpackDecoder {
   explicit HpackDecoder(std::size_t table_size = 4096)
       : table_(table_size) {}
 
+  /// Decode a header block into a fresh block.
   util::Expected<http::HeaderBlock, std::string> decode(
       std::span<const std::uint8_t> input);
+
+  /// Decode a header block into `out`, building each field once over the
+  /// storage `out` already holds, so a caller reusing one block allocates
+  /// only for fields longer than it held before. The dynamic table copies
+  /// the built field. Returns the error message, or nullptr on success
+  /// (`out` is then the block; on failure its contents are unspecified).
+  const char* decode_into(std::span<const std::uint8_t> input,
+                          http::HeaderBlock& out);
 
   /// Upper bound for table size updates signalled via SETTINGS.
   void set_max_table_size(std::size_t max) { settings_max_ = max; }
@@ -120,9 +130,17 @@ class HpackDecoder {
   const HpackDynamicTable& table() const noexcept { return table_; }
 
  private:
-  util::Expected<http::Header, std::string> lookup(std::uint64_t index) const;
-  util::Expected<std::string, std::string> decode_string(
-      std::span<const std::uint8_t> in, std::size_t& pos);
+  struct FieldView {
+    std::string_view name;
+    std::string_view value;
+  };
+  /// The static or dynamic entry at HPACK `index`, by view: valid until
+  /// the dynamic table next changes.
+  util::Expected<FieldView, const char*> lookup(std::uint64_t index) const;
+  /// Append the string literal at `pos` to `out`; advances `pos`. Returns
+  /// the error message, or nullptr on success.
+  static const char* decode_string(std::span<const std::uint8_t> in,
+                                   std::size_t& pos, std::string& out);
 
   HpackDynamicTable table_;
   std::size_t settings_max_ = 4096;

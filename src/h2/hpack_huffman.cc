@@ -218,32 +218,37 @@ void huffman_encode(std::string_view s, std::vector<std::uint8_t>& out) {
   }
 }
 
-util::Expected<std::string, std::string> huffman_decode(
-    std::span<const std::uint8_t> input) {
+const char* huffman_decode_into(std::span<const std::uint8_t> input,
+                                std::string& out) {
   const DecodeTable& table = decode_table();
   const DecodeTable::Entry* entries = table.entries.data();
-  std::string out;
-  out.reserve(input.size() * 2);
+  // Every code is at least 5 bits long.
+  out.reserve(out.size() + input.size() * 8 / 5);
   std::uint32_t state = 0;
   for (std::uint8_t byte : input) {
     const DecodeTable::Entry hi = entries[state * 16 + (byte >> 4)];
     if (hi.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
-      return util::make_unexpected(hi.flags & DecodeTable::kEos
-                                       ? "huffman: EOS in stream"
-                                       : "huffman: invalid code");
+      return hi.flags & DecodeTable::kEos ? "huffman: EOS in stream"
+                                          : "huffman: invalid code";
     }
     if (hi.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(hi.symbol));
     const DecodeTable::Entry lo = entries[hi.next * 16 + (byte & 0xf)];
     if (lo.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
-      return util::make_unexpected(lo.flags & DecodeTable::kEos
-                                       ? "huffman: EOS in stream"
-                                       : "huffman: invalid code");
+      return lo.flags & DecodeTable::kEos ? "huffman: EOS in stream"
+                                          : "huffman: invalid code";
     }
     if (lo.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(lo.symbol));
     state = lo.next;
   }
-  if (!table.accept[state]) {
-    return util::make_unexpected("huffman: invalid padding");
+  if (!table.accept[state]) return "huffman: invalid padding";
+  return nullptr;
+}
+
+util::Expected<std::string, std::string> huffman_decode(
+    std::span<const std::uint8_t> input) {
+  std::string out;
+  if (const char* error = huffman_decode_into(input, out)) {
+    return util::make_unexpected(std::string(error));
   }
   return out;
 }

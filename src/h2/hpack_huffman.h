@@ -22,4 +22,9 @@ void huffman_encode(std::string_view s, std::vector<std::uint8_t>& out);
 util::Expected<std::string, std::string> huffman_decode(
     std::span<const std::uint8_t> input);
 
+/// Decode `input`, appending to `out`. Returns the error message, or
+/// nullptr on success (`out` then holds the partial decode on failure).
+const char* huffman_decode_into(std::span<const std::uint8_t> input,
+                                std::string& out);
+
 }  // namespace h2push::h2

@@ -113,62 +113,48 @@ bool PriorityTree::is_ancestor(std::uint32_t ancestor,
   return ancestor == 0;
 }
 
-std::uint32_t PriorityTree::pick_subtree(
-    std::uint32_t id, const std::function<bool(std::uint32_t)>& ready,
-    bool& subtree_ready) {
+std::uint32_t PriorityTree::pick_subtree(std::uint32_t id, ReadyFn ready) {
   Node& node = nodes_[id];
-  if (id != 0 && ready(id)) {
-    subtree_ready = true;
-    return id;  // parent before children
-  }
+  if (id != 0 && ready(id)) return id;  // parent before children
   // Weighted round-robin among children whose subtrees have ready streams.
   // Two passes: find eligible children, then serve the highest credit.
-  std::vector<std::uint32_t> eligible;
-  std::vector<std::uint32_t> chosen_cache;
+  eligible_.clear();
   for (std::uint32_t child : node.children) {
     // Probe the subtree for readiness without consuming credits: a cheap
     // DFS that only evaluates `ready`.
     bool any = false;
-    std::vector<std::uint32_t> stack{child};
-    while (!stack.empty() && !any) {
-      const std::uint32_t cur = stack.back();
-      stack.pop_back();
+    probe_stack_.assign(1, child);
+    while (!probe_stack_.empty() && !any) {
+      const std::uint32_t cur = probe_stack_.back();
+      probe_stack_.pop_back();
       if (ready(cur)) {
         any = true;
         break;
       }
       const Node& cn = nodes_[cur];
-      stack.insert(stack.end(), cn.children.begin(), cn.children.end());
+      probe_stack_.insert(probe_stack_.end(), cn.children.begin(),
+                          cn.children.end());
     }
-    if (any) eligible.push_back(child);
+    if (any) eligible_.push_back(child);
   }
-  if (eligible.empty()) {
-    subtree_ready = false;
-    return 0;
-  }
-  subtree_ready = true;
+  if (eligible_.empty()) return 0;
   // Credit accumulation proportional to weight; serve the largest credit.
   double total_weight = 0;
-  for (std::uint32_t child : eligible)
-    total_weight += nodes_[child].weight;
-  std::uint32_t best = eligible.front();
-  for (std::uint32_t child : eligible) {
+  for (std::uint32_t child : eligible_) total_weight += nodes_[child].weight;
+  std::uint32_t best = eligible_.front();
+  for (std::uint32_t child : eligible_) {
     Node& cn = nodes_[child];
     cn.credit += static_cast<double>(cn.weight) / total_weight;
     if (cn.credit > nodes_[best].credit + 1e-12) best = child;
   }
   nodes_[best].credit -= 1.0;
-  bool dummy = false;
-  const std::uint32_t picked = pick_subtree(best, ready, dummy);
+  // The scratch is free again: the descent below may reuse it.
+  const std::uint32_t picked = pick_subtree(best, ready);
   assert(picked != 0);
   return picked;
 }
 
-std::uint32_t PriorityTree::pick(
-    const std::function<bool(std::uint32_t)>& ready) {
-  bool dummy = false;
-  return pick_subtree(0, ready, dummy);
-}
+std::uint32_t PriorityTree::pick(ReadyFn ready) { return pick_subtree(0, ready); }
 
 void TreeScheduler::configure(std::uint32_t parent, std::size_t offset,
                               std::set<std::uint32_t> critical) {
@@ -178,8 +164,7 @@ void TreeScheduler::configure(std::uint32_t parent, std::size_t offset,
   pending_critical_ = std::move(critical);
 }
 
-std::uint32_t TreeScheduler::pick_switched(
-    const std::function<bool(std::uint32_t)>& ready) {
+std::uint32_t TreeScheduler::pick_switched(ReadyFn ready) {
   // During the pause the critical pushes are scheduled even though the tree
   // would favour their parent; afterwards the plain dependency order rules.
   return tree_.pick(

@@ -12,18 +12,21 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
 
 #include "h2/frame.h"
+#include "util/function_ref.h"
 
 namespace h2push::trace {
 class TraceRecorder;
 }
 
 namespace h2push::h2 {
+
+/// Whether a stream has sendable data right now.
+using ReadyFn = util::FunctionRef<bool(std::uint32_t)>;
 
 class PriorityTree {
  public:
@@ -49,7 +52,7 @@ class PriorityTree {
   /// Pick the next stream to serve: depth-first, parent before children,
   /// weighted round-robin among sibling subtrees. `ready(id)` says whether a
   /// stream has sendable data right now. Returns 0 if nothing is ready.
-  std::uint32_t pick(const std::function<bool(std::uint32_t)>& ready);
+  std::uint32_t pick(ReadyFn ready);
 
   /// True if `ancestor` is a (transitive) ancestor of `id`.
   bool is_ancestor(std::uint32_t ancestor, std::uint32_t id) const;
@@ -64,13 +67,15 @@ class PriorityTree {
     double credit = 0;                    // WRR credit
   };
 
-  std::uint32_t pick_subtree(std::uint32_t id,
-                             const std::function<bool(std::uint32_t)>& ready,
-                             bool& subtree_ready);
+  std::uint32_t pick_subtree(std::uint32_t id, ReadyFn ready);
   void detach(std::uint32_t id);
   void attach(std::uint32_t id, std::uint32_t parent, bool exclusive);
 
   std::map<std::uint32_t, Node> nodes_;  // ordered for determinism
+  // pick()'s scratch, reused across calls: each level of the descent is
+  // done with both before it recurses.
+  std::vector<std::uint32_t> eligible_;
+  std::vector<std::uint32_t> probe_stack_;
 };
 
 /// The connection's DATA scheduler: the dependency tree, plus the paper's
@@ -104,7 +109,7 @@ class TreeScheduler {
     if (configured_) drop_critical(id);
   }
   /// Choose the next stream among those where `ready` holds; 0 = none.
-  std::uint32_t pick(const std::function<bool(std::uint32_t)>& ready) {
+  std::uint32_t pick(ReadyFn ready) {
     return configured_ ? pick_switched(ready) : tree_.pick(ready);
   }
   /// Cap on DATA bytes the connection may emit for `id` in the next frame:
@@ -135,7 +140,7 @@ class TreeScheduler {
   }
 
  private:
-  std::uint32_t pick_switched(const std::function<bool(std::uint32_t)>& ready);
+  std::uint32_t pick_switched(ReadyFn ready);
   void count_parent_bytes(std::size_t bytes);
   void drop_critical(std::uint32_t id);
 

@@ -83,7 +83,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
   // Chromium-like posture the simulator's browser uses).
   cc.connection_window_bonus = 16 * 1024 * 1024;
   h2::Connection::Callbacks cbs;
-  cbs.on_headers = [&](std::uint32_t stream, http::HeaderBlock headers,
+  cbs.on_headers = [&](std::uint32_t stream, const http::HeaderBlock& headers,
                        bool /*end_stream*/) {
     const auto it = stream_to_url.find(stream);
     if (it == stream_to_url.end()) return;
@@ -98,7 +98,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
         reinterpret_cast<const char*>(data.data()), data.size());
   };
   cbs.on_push_promise = [&](std::uint32_t /*parent*/, std::uint32_t promised,
-                            http::HeaderBlock headers) {
+                            const http::HeaderBlock& headers) {
     const Key key{std::string(http::find_header(headers, ":authority")),
                   std::string(http::find_header(headers, ":path"))};
     stream_to_url[promised] = key;
@@ -225,7 +225,7 @@ class LoadConnection {
     cc.connection_window_bonus = 16 * 1024 * 1024;
     h2::Connection::Callbacks cbs;
     cbs.on_push_promise = [this](std::uint32_t, std::uint32_t,
-                                 http::HeaderBlock) {
+                                 const http::HeaderBlock&) {
       ++shared_.push_promises;
     };
     cbs.on_stream_closed = [this](std::uint32_t stream) {

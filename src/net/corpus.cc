@@ -83,7 +83,7 @@ LiveCorpus build_live_corpus(const LiveCorpusConfig& config) {
         break;
     }
     policy.push_urls = std::move(urls);
-    if (!policy.empty() || policy.interleaving) {
+    if (!policy.empty()) {  // an empty policy pushes and configures nothing
       corpus.policies.emplace(policy.trigger_host, std::move(policy));
     }
     ++site_index;

@@ -16,10 +16,9 @@ ReplayServer::ReplayServer(sim::Simulator* sim, Config config, util::Rng rng)
   h2::Connection::Config cc;
   cc.role = h2::Role::kServer;
   h2::Connection::Callbacks cbs;
-  cbs.on_headers = [this](std::uint32_t stream, http::HeaderBlock headers,
-                          bool /*end_stream*/) {
-    on_request(stream, std::move(headers));
-  };
+  cbs.on_headers = [this](std::uint32_t stream,
+                          const http::HeaderBlock& headers,
+                          bool /*end_stream*/) { on_request(stream, headers); };
   cbs.on_write_ready = [this] {
     if (!corked_ && write_ready_) write_ready_();
   };
@@ -48,7 +47,7 @@ const PushPolicy* ReplayServer::match_policy(const std::string& authority,
 }
 
 void ReplayServer::on_request(std::uint32_t stream,
-                              http::HeaderBlock headers) {
+                              const http::HeaderBlock& headers) {
   ++requests_served_;
   std::string authority(http::find_header(headers, ":authority"));
   const std::string path(http::find_header(headers, ":path"));

@@ -99,7 +99,7 @@ class ReplayServer {
   bool received_cache_digest() const noexcept { return has_digest_; }
 
  private:
-  void on_request(std::uint32_t stream, http::HeaderBlock headers);
+  void on_request(std::uint32_t stream, const http::HeaderBlock& headers);
   const PushPolicy* match_policy(const std::string& authority,
                                  const std::string& path) const;
   /// Submit the recorded response, with a preload `link` header per hint

@@ -12,6 +12,48 @@ const char* side_name(TcpConnection::Side side) {
   return side == TcpConnection::Side::kClient ? "client" : "server";
 }
 
+/// Send buffers of finished connections, kept per thread and per sending
+/// side so the next connection starts at the capacity an earlier one grew
+/// to. Bounded in count and in total capacity: an idle pool holds at most
+/// kPoolBytes per side, and larger buffers are simply freed.
+class BufferPool {
+ public:
+  static constexpr std::size_t kPoolBuffers = 16;
+  static constexpr std::size_t kPoolBytes = 2u << 20;
+
+  /// The largest pooled buffer (empty), or a fresh one.
+  std::vector<std::uint8_t> acquire() {
+    if (free_.empty()) return {};
+    std::vector<std::uint8_t> buffer = std::move(free_.back());
+    free_.pop_back();
+    bytes_ -= buffer.capacity();
+    return buffer;
+  }
+
+  void release(std::vector<std::uint8_t>&& buffer) {
+    const std::size_t capacity = buffer.capacity();
+    if (capacity == 0 || free_.size() == kPoolBuffers ||
+        bytes_ + capacity > kPoolBytes) {
+      return;
+    }
+    buffer.clear();
+    // Kept ordered by capacity, largest last.
+    auto at = free_.begin();
+    while (at != free_.end() && at->capacity() < capacity) ++at;
+    free_.insert(at, std::move(buffer));
+    bytes_ += capacity;
+  }
+
+ private:
+  std::vector<std::vector<std::uint8_t>> free_;
+  std::size_t bytes_ = 0;
+};
+
+BufferPool& buffer_pool(TcpConnection::Side side) {
+  thread_local BufferPool pools[2];
+  return pools[side == TcpConnection::Side::kClient ? 0 : 1];
+}
+
 }  // namespace
 
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
@@ -26,6 +68,13 @@ TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
     h->ssthresh = config_.initial_ssthresh;
     h->rto = config_.rto_initial;
   }
+  up_.buffer = buffer_pool(Side::kClient).acquire();
+  down_.buffer = buffer_pool(Side::kServer).acquire();
+}
+
+TcpConnection::~TcpConnection() {
+  buffer_pool(Side::kClient).release(std::move(up_.buffer));
+  buffer_pool(Side::kServer).release(std::move(down_.buffer));
 }
 
 void TcpConnection::connect() {
@@ -86,9 +135,15 @@ void TcpConnection::advance_handshake(int arrived_step) {
 }
 
 void TcpConnection::send(Side side, std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t>& buffer = half(side).buffer;
+  buffer.insert(buffer.end(), data.begin(), data.end());
+  commit(side, data.size());
+}
+
+void TcpConnection::commit(Side side, std::size_t appended) {
   Half& h = half(side);
-  h.buffer.insert(h.buffer.end(), data.begin(), data.end());
-  h.app_end += data.size();
+  h.app_end += appended;
+  assert(h.buffer.size() == h.app_end - h.base_seq);
   if (unsent_bytes(side) >= config_.write_watermark) h.writable_low = false;
   try_send(side);
 }
@@ -264,13 +319,7 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
         h.cwnd += acked_segments / h.cwnd;  // congestion avoidance
       }
     }
-    // Trim acknowledged bytes from the retransmission buffer.
-    const std::size_t trim = static_cast<std::size_t>(h.snd_una - h.base_seq);
-    if (trim > 64 * 1024 || trim == h.buffer.size()) {
-      h.buffer.erase(h.buffer.begin(),
-                     h.buffer.begin() + static_cast<std::ptrdiff_t>(trim));
-      h.base_seq = h.snd_una;
-    }
+    compact(h);
     if (h.snd_una == h.app_end) {
       sim_.cancel(h.rto_timer);
       h.rto_timer = kInvalidEvent;
@@ -302,6 +351,24 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
   }
   if (trace_) trace_congestion(sender);
   try_send(sender);
+}
+
+void TcpConnection::compact(Half& h) {
+  // Drop the acknowledged prefix only when the buffer is running out of
+  // room and the prefix is at least as long as the live tail behind it:
+  // the tail moved then costs no more bytes than the prefix dropped, so
+  // compaction moves at most as many bytes as were sent, and a buffer with
+  // room to spare is not compacted at all. A fully acknowledged buffer is
+  // just emptied.
+  static constexpr std::size_t kHeadroom = 64 * 1024;
+  const auto acked = static_cast<std::size_t>(h.snd_una - h.base_seq);
+  const std::size_t live = h.buffer.size() - acked;
+  if (acked == 0 || acked < live) return;
+  if (live > 0 && h.buffer.capacity() - h.buffer.size() >= kHeadroom) return;
+  h.buffer.erase(h.buffer.begin(),
+                 h.buffer.begin() + static_cast<std::ptrdiff_t>(acked));
+  h.compacted += live;
+  h.base_seq = h.snd_una;
 }
 
 void TcpConnection::arm_rto(Side sender) {

@@ -21,6 +21,14 @@
 // it delivers them. The buffer only drops bytes the receiver has already
 // acknowledged, and delivery never reaches below the receiver's rcv_nxt, so
 // every byte it hands over is still there.
+//
+// The send buffer is written in place: a writer appends to write_buffer()
+// and commit()s the count, so bytes land in the buffer once. Acknowledged
+// bytes are dropped by compaction only when the buffer runs short of room
+// and they are at least as many as the live (unacknowledged and unsent)
+// ones behind them, so compaction moves at most as many bytes as were sent.
+// Buffers are recycled through a small, bounded per-thread pool: a
+// connection starts with the capacity an earlier one grew.
 #pragma once
 
 #include <cstdint>
@@ -67,12 +75,27 @@ class TcpConnection {
   /// `up` carries client→server packets, `down` server→client.
   TcpConnection(Simulator& sim, TcpConfig config, Route up, Route down,
                 Callbacks callbacks);
+  ~TcpConnection();
+  TcpConnection(const TcpConnection&) = delete;
+  TcpConnection& operator=(const TcpConnection&) = delete;
 
   /// Begin the handshake. on_connected fires when the client may write.
   void connect();
 
-  /// Queue application bytes for transmission from `side`.
+  /// Queue application bytes for transmission from `side` (a copy into
+  /// the send buffer; write_buffer() + commit() skip it).
   void send(Side side, std::span<const std::uint8_t> data);
+
+  /// Append-in-place send path: append bytes to the end of this buffer,
+  /// then hand their count to commit(). Nothing else may change the
+  /// buffer, and the reference is only good until the next call into this
+  /// connection.
+  std::vector<std::uint8_t>& write_buffer(Side side) noexcept {
+    return half(side).buffer;
+  }
+  /// Queue the `appended` bytes just added to write_buffer(side). May fire
+  /// on_writable (and so re-enter the writer) before it returns.
+  void commit(Side side, std::size_t appended);
 
   bool connected() const noexcept { return connected_; }
   Time connect_end_time() const noexcept { return connect_end_time_; }
@@ -86,6 +109,10 @@ class TcpConnection {
 
   std::uint64_t retransmissions() const noexcept;
   double cwnd_segments(Side sender) const noexcept;
+  /// Bytes `sender`'s buffer compaction has moved so far.
+  std::uint64_t compacted_bytes(Side sender) const noexcept {
+    return half(sender).compacted;
+  }
 
   /// Attach a trace recorder: cwnd/ssthresh/srtt counter tracks, loss
   /// recovery and handshake instants.
@@ -101,6 +128,7 @@ class TcpConnection {
     Route ack_route;    // carries ACKs back to the sender
     // --- sender state ---
     std::vector<std::uint8_t> buffer;  // bytes [base_seq, app_end)
+    std::uint64_t compacted = 0;       // bytes moved by compaction
     std::uint64_t base_seq = 0;
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
@@ -145,6 +173,7 @@ class TcpConnection {
   void on_segment(Side sender, std::uint64_t seq, std::size_t len);
   void send_ack(Side data_sender);
   void on_ack(Side sender, std::uint64_t ack);
+  void compact(Half& h);
   void arm_rto(Side sender);
   void on_rto(Side sender);
   void maybe_signal_writable(Side sender);

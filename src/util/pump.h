@@ -43,7 +43,9 @@ enum class WriteCap : std::uint8_t {
 /// sink (sim::TcpConnection signals writability from inside send); the
 /// bytes it is handed are not read again once it returns, so a sink may
 /// hand out one reused buffer as long as `commit` consumes the bytes
-/// before anything that can re-enter.
+/// before anything that can re-enter — or hand out the transport's own
+/// send buffer, so the source appends straight into it and `commit` only
+/// takes the count (the simulator's server side does).
 template <class Source, class Sink>
 void pump(Source& source, Sink&& sink) {
   while (source.want_write()) {

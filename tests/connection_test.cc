@@ -4,6 +4,7 @@
 // interaction and the interleaving scheduler's hard switch.
 #include <gtest/gtest.h>
 
+#include "alloc_counter.h"  // WarmDataPathAllocatesNothing
 #include "h2/connection.h"
 
 namespace h2push::h2 {
@@ -539,6 +540,74 @@ TEST(Connection, BadPrefaceIsRejected) {
   server.receive({reinterpret_cast<const std::uint8_t*>(bad.data()),
                   bad.size()});
   EXPECT_EQ(error, "bad client preface");
+}
+
+// Once warm, moving DATA costs no heap work per frame on either side: the
+// server appends frames straight into the caller's reused buffer, and the
+// client parses them where they lie, DATA by view, reassembling frames split
+// across TCP-sized chunks in a reused parser buffer. The client's
+// WINDOW_UPDATEs travel back through the same reused control queue.
+TEST(Connection, WarmDataPathAllocatesNothing) {
+  std::uint64_t received = 0;
+  bool done = false;
+  Connection::Config cc;
+  cc.role = Role::kClient;
+  Connection::Callbacks ccb;
+  ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t> data,
+                    bool fin) {
+    received += data.size();
+    done = done || fin;
+  };
+  Connection client(cc, std::move(ccb));
+  Connection::Config sc;
+  sc.role = Role::kServer;
+  std::vector<std::uint32_t> requests;
+  Connection::Callbacks scb;
+  scb.on_headers = [&](std::uint32_t stream, const http::HeaderBlock&,
+                       bool) { requests.push_back(stream); };
+  Connection server(sc, std::move(scb));
+  client.start();
+  server.start();
+
+  std::vector<std::uint8_t> to_server;
+  std::vector<std::uint8_t> to_client;
+  // One round: the client's bytes up, then up to `budget` server bytes
+  // down, delivered in 1460-byte pieces like TCP segments.
+  const auto round = [&](std::size_t budget) {
+    to_server.clear();
+    client.produce_into(to_server, 1 << 20, util::WriteCap::kSoft);
+    if (!to_server.empty()) server.receive(to_server);
+    to_client.clear();
+    server.produce_into(to_client, budget, util::WriteCap::kSoft);
+    for (std::size_t at = 0; at < to_client.size(); at += 1460) {
+      client.receive(std::span<const std::uint8_t>(to_client).subspan(
+          at, std::min<std::size_t>(1460, to_client.size() - at)));
+    }
+  };
+
+  constexpr std::size_t kBody = 8 << 20;
+  http::Request request;
+  request.url = http::Url{"https", "test.example", 443, "/big"};
+  const std::uint32_t id = client.submit_request(request.to_h2_headers());
+  round(64 * 1024);
+  ASSERT_EQ(requests, std::vector<std::uint32_t>{id});
+  http::Response response;
+  response.body_size = kBody;
+  server.submit_response(id, response.to_h2_headers(),
+                         std::make_shared<const std::string>(kBody, 'b'));
+  while (received < kBody / 8) round(64 * 1024);  // warm up
+
+  const std::size_t frames_before = received / kDefaultMaxFrameSize;
+  const std::size_t before = test_allocation_count();
+  while (received < kBody / 2) round(64 * 1024);
+  const std::size_t allocations = test_allocation_count() - before;
+  EXPECT_EQ(allocations, 0u) << "over "
+                             << received / kDefaultMaxFrameSize - frames_before
+                             << " DATA frames";
+  while (!done) round(64 * 1024);
+  EXPECT_EQ(received, kBody);
+  EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+  EXPECT_TRUE(server.last_error().empty()) << server.last_error();
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "adoption/adoption.h"
+#include "alloc_counter.h"  // Testbed.WarmPageLoadStaysWithinAllocationBudget
 #include "browser/stylesheet_cache.h"
 #include "core/critical_css.h"
 #include "core/dependency.h"
@@ -279,6 +280,26 @@ TEST(Testbed, InterleavingDeliversCriticalBeforeParentFinishes) {
     if (r.url == site.main_url.str()) html_done = r.t_complete_ms;
   }
   EXPECT_LT(css_done, html_done);
+}
+
+// The heap work of one warm page load of the fixture site, with two pushes,
+// is pinned at its recorded count. The simulation is deterministic, and so
+// is the count: a load that allocates more has regressed.
+TEST(Testbed, WarmPageLoadStaysWithinAllocationBudget) {
+  constexpr std::size_t kBudget = 733;
+  const auto site = fixture_site();
+  RunConfig cfg;
+  const auto strategy = push_list(
+      "push-css", {"https://www.fixture.test/a.css",
+                   "https://www.fixture.test/hero.png"});
+  const auto warm = run_page_load(site, strategy, cfg);  // pools, sheet cache
+  ASSERT_TRUE(warm.complete);
+  const std::size_t before = test_allocation_count();
+  const auto result = run_page_load(site, strategy, cfg);
+  const std::size_t allocations = test_allocation_count() - before;
+  ASSERT_TRUE(result.complete);
+  EXPECT_EQ(result.plt_ms, warm.plt_ms);
+  EXPECT_LE(allocations, kBudget);
 }
 
 TEST(Testbed, MetricSeriesSummaries) {

@@ -168,6 +168,36 @@ TEST(FrameParser, HandlesArbitraryChunking) {
   }
 }
 
+// The parse loop hands DATA on as a view: a frame wholly inside the chunk
+// being parsed is viewed where it lies (no copy), and only a frame split
+// across chunks is reassembled — once — in the parser's buffer.
+TEST(FrameParser, ParseViewsDataInPlaceAndCopiesOnlySplitFrames) {
+  struct Views final : FrameHandler {
+    std::vector<std::span<const std::uint8_t>> data;
+    void on_data(const DataView& f) override { data.push_back(f.data); }
+    void on_header_block(const HeaderBlockView&) override {}
+    void on_frame(Frame&&) override {}
+  };
+  std::vector<std::uint8_t> wire;
+  for (std::uint32_t stream : {1u, 3u}) {
+    append_data_frame(wire, stream, false, std::vector<std::uint8_t>(1000, 7));
+  }
+  FrameParser parser;
+  Views views;
+  // All of frame 1 and part of frame 2.
+  const std::span<const std::uint8_t> bytes(wire);
+  ASSERT_FALSE(parser.parse(bytes.first(1500), views));
+  ASSERT_EQ(views.data.size(), 1u);
+  EXPECT_EQ(views.data[0].data(), wire.data() + 9);  // in place
+  EXPECT_EQ(views.data[0].size(), 1000u);
+  ASSERT_FALSE(parser.parse(bytes.subspan(1500), views));
+  ASSERT_EQ(views.data.size(), 2u);
+  EXPECT_EQ(views.data[1].size(), 1000u);
+  const auto* second = views.data[1].data();
+  EXPECT_FALSE(second >= wire.data() && second < wire.data() + wire.size())
+      << "a split frame must come from the parser's own buffer";
+}
+
 TEST(FrameParser, RejectsOversizedFrame) {
   FrameParser parser(16384);
   std::vector<std::uint8_t> wire{0x01, 0x00, 0x00,  // 65536

@@ -204,6 +204,56 @@ TEST(Hpack, StaticTableExactMatchIsOneByte) {
   EXPECT_EQ(wire[0], 0x82);  // static index 2
 }
 
+// The encoder finds static entries through a hashed name index; it must
+// answer exactly as a scan of Appendix A in index order would.
+TEST(Hpack, StaticIndexMatchesLinearScan) {
+  const auto scan = [](const std::string& name, const std::string& value,
+                       std::size_t& name_only) {
+    name_only = 0;
+    for (std::size_t i = 1; i <= hpack_static_table_size(); ++i) {
+      const auto [n, v] = hpack_static_at(i);
+      if (n != name) continue;
+      if (name_only == 0) name_only = i;
+      if (v == value) return i;
+    }
+    return std::size_t{0};
+  };
+  std::vector<std::pair<std::string, std::string>> probes;
+  for (std::size_t i = 1; i <= hpack_static_table_size(); ++i) {
+    const auto [n, v] = hpack_static_at(i);
+    probes.emplace_back(n, v);
+    probes.emplace_back(n, "other");
+    probes.emplace_back(std::string(n) + "x", v);
+  }
+  probes.emplace_back("", "");
+  probes.emplace_back("x-custom", "1");
+  for (const auto& [name, value] : probes) {
+    std::size_t want_name = 0;
+    std::size_t got_name = 0;
+    const std::size_t want = scan(name, value, want_name);
+    EXPECT_EQ(hpack_static_find(name, value, got_name), want) << name;
+    EXPECT_EQ(got_name, want_name) << name;
+  }
+}
+
+// decode_into builds each field over the storage the block already holds:
+// a shorter block after a longer one leaves exactly the new fields.
+TEST(Hpack, DecodeIntoReusesTheBlock) {
+  HpackEncoder encoder;
+  HpackDecoder decoder;
+  const http::HeaderBlock long_block{{":status", "200"},
+                                     {"content-type", "text/css"},
+                                     {"x-long", std::string(100, 'v')}};
+  const http::HeaderBlock short_block{{":status", "404"}};
+  http::HeaderBlock out;
+  ASSERT_EQ(decoder.decode_into(encoder.encode(long_block), out), nullptr);
+  EXPECT_EQ(out, long_block);
+  ASSERT_EQ(decoder.decode_into(encoder.encode(short_block), out), nullptr);
+  EXPECT_EQ(out, short_block);
+  ASSERT_EQ(decoder.decode_into(encoder.encode(long_block), out), nullptr);
+  EXPECT_EQ(out, long_block);
+}
+
 TEST(Hpack, DecoderRejectsIndexOutOfRange) {
   HpackDecoder decoder;
   const std::vector<std::uint8_t> wire{0xff, 0x7f};  // huge index

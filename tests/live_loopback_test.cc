@@ -59,6 +59,15 @@ void expect_store_equality(const LiveCorpus& corpus, std::uint16_t port,
   }
 }
 
+// A site with nothing to push gets no policy, even under the interleaving
+// scheduler: such an entry would push nothing and configure nothing.
+TEST(LiveCorpus, InterleavingWithoutPushesStoresNoPolicies) {
+  const LiveCorpus corpus = build_live_corpus(corpus_config(
+      SchedulerKind::kInterleaving, PushStrategySpec::Kind::kNone));
+  EXPECT_EQ(2u, corpus.landing_pages.size());
+  EXPECT_TRUE(corpus.policies.empty());
+}
+
 TEST(LiveLoopback, ParentFirstServesStoreByteIdentical) {
   const auto cc = corpus_config(SchedulerKind::kParentFirst,
                                 PushStrategySpec::Kind::kNone);

@@ -3,9 +3,7 @@
 // recovery (content-verified), and determinism.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
+#include <thread>
 
 #include "fuzz/invariants.h"
 #include "sim/conditions.h"
@@ -13,36 +11,10 @@
 #include "sim/simulator.h"
 #include "sim/tcp.h"
 
-// Counting global allocator: SteadyStateSchedulesWithoutHeapAllocation and
-// WarmDataPathAllocatesNothing assert that the schedule/fire hot path and
-// the TCP segment/ACK path stop touching the heap once warm. Only the plain
-// forms are replaced; the sized deletes forward here per the standard. GCC
-// flags free() on a pointer it watched come out of a new-expression — a
-// false positive once the global operators are replaced with malloc/free in
-// this TU.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
-namespace {
-std::atomic<std::size_t> g_allocation_count{0};
-}  // namespace
-
-std::size_t test_allocation_count() {
-  return g_allocation_count.load(std::memory_order_relaxed);
-}
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// SteadyStateSchedulesWithoutHeapAllocation and WarmDataPathAllocatesNothing
+// assert that the schedule/fire hot path and the TCP segment/ACK path stop
+// touching the heap once warm.
+#include "alloc_counter.h"
 
 namespace h2push::sim {
 namespace {
@@ -353,6 +325,9 @@ struct TcpHarness {
   bool mismatch = false;
   Time connected_at = -1;
   Time accepted_at = -1;
+  std::size_t stream_target = 0;  // stream_pattern(): bytes to write
+  std::size_t stream_written = 0;
+  std::size_t stream_chunk = 0;
 
   static LinkConfig link_config(double rate, std::size_t queue_bytes,
                                 double loss) {
@@ -384,9 +359,34 @@ struct TcpHarness {
         server_received += data.size();
       }
     };
+    cb.on_writable = [this](TcpConnection::Side side) {
+      if (side == TcpConnection::Side::kServer) write_more();
+    };
     tcp = std::make_unique<TcpConnection>(
         sim, TcpConfig{}, Route{&up, from_ms(23)}, Route{&down, from_ms(23)},
         std::move(cb));
+  }
+
+  /// Write `total` pattern bytes from the server the way the testbed's
+  /// pump does: appended in place, a chunk at a time, while writable.
+  void stream_pattern(std::size_t total, std::size_t chunk = 16 * 1024) {
+    stream_target = stream_written + total;
+    stream_chunk = chunk;
+    write_more();
+  }
+
+  void write_more() {
+    constexpr auto kServer = TcpConnection::Side::kServer;
+    while (stream_written < stream_target && tcp->writable(kServer)) {
+      std::vector<std::uint8_t>& buffer = tcp->write_buffer(kServer);
+      const std::size_t n =
+          std::min(stream_chunk, stream_target - stream_written);
+      for (std::size_t i = 0; i < n; ++i) {
+        buffer.push_back(static_cast<std::uint8_t>((stream_written + i) % 251));
+      }
+      stream_written += n;
+      tcp->commit(kServer, n);  // may re-enter through on_writable
+    }
   }
 
   void send_pattern(std::size_t total) {
@@ -543,6 +543,62 @@ TEST(Tcp, WarmDataPathAllocatesNothing) {
   EXPECT_FALSE(h.mismatch);
   EXPECT_EQ(h.tcp->retransmissions(), 0u);
   ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+}
+
+// Acknowledged bytes are dropped only once they are at least as many as the
+// live ones behind them, so compaction moves at most as many bytes as were
+// sent — also over this harness's deep queue, where the window in flight
+// grows far past the bytes acknowledged between two ACKs.
+TEST(Tcp, CompactionMovesAtMostTheBytesSent) {
+  TcpHarness h;
+  h.tcp->connect();
+  h.sim.run();
+  constexpr std::size_t kTotal = 24u << 20;
+  h.stream_pattern(kTotal);
+  h.sim.run();
+  EXPECT_EQ(h.client_received, kTotal);
+  EXPECT_FALSE(h.mismatch);
+  const std::uint64_t moved =
+      h.tcp->compacted_bytes(TcpConnection::Side::kServer);
+  EXPECT_GT(moved, 0u) << "the transfer never compacted";
+  EXPECT_LE(moved, kTotal);
+  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+}
+
+// Send buffers go back to a per-thread pool: a second connection moving the
+// same traffic starts with the capacity the first one grew, and never
+// regrows it. (A fresh thread starts with an empty pool.)
+TEST(Tcp, SecondConnectionReusesPooledBuffer) {
+  constexpr std::size_t kTotal = 400000;
+  std::size_t first_capacity = 0;
+  std::size_t second_start = 0;
+  std::size_t second_end = 0;
+  std::thread([&] {
+    const auto capacity = [](TcpHarness& h) {
+      return h.tcp->write_buffer(TcpConnection::Side::kServer).capacity();
+    };
+    {
+      TcpHarness first;
+      first.tcp->connect();
+      first.sim.run();
+      first.stream_pattern(kTotal);
+      first.sim.run();
+      EXPECT_EQ(first.client_received, kTotal);
+      first_capacity = capacity(first);
+    }
+    TcpHarness second;
+    second_start = capacity(second);
+    second.tcp->connect();
+    second.sim.run();
+    second.stream_pattern(kTotal);
+    second.sim.run();
+    EXPECT_EQ(second.client_received, kTotal);
+    EXPECT_FALSE(second.mismatch);
+    second_end = capacity(second);
+  }).join();
+  EXPECT_GT(first_capacity, 0u);
+  EXPECT_EQ(second_start, first_capacity);
+  EXPECT_EQ(second_end, second_start) << "the pooled buffer regrew";
 }
 
 // ------------------------------------------------------------- conditions

@@ -5,8 +5,10 @@
 // stream scheduler. Pair it with h2pushload, nghttp, or curl --http2-prior-
 // knowledge:
 //
-//   h2pushd --port 8443 --profile top100 --sites 4 --seed 1 \
+//   h2pushd --port 8443 --profile top100 --sites 4 --seed 1
 //           --scheduler interleaving --push-strategy all
+//
+// (one command line, wrapped here).
 //
 // SIGTERM/SIGINT trigger a graceful drain: listeners stop, every connection
 // gets a GOAWAY, streams finish, then the process exits with a stats line.
