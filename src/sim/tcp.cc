@@ -354,17 +354,19 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
 }
 
 void TcpConnection::compact(Half& h) {
-  // Drop the acknowledged prefix only when the buffer is running out of
-  // room and the prefix is at least as long as the live tail behind it:
-  // the tail moved then costs no more bytes than the prefix dropped, so
-  // compaction moves at most as many bytes as were sent, and a buffer with
-  // room to spare is not compacted at all. A fully acknowledged buffer is
-  // just emptied.
-  static constexpr std::size_t kHeadroom = 64 * 1024;
+  // Drop the acknowledged prefix once it is at least as long as the live
+  // tail behind it (and at least kMinPrefix): the tail moved then costs no
+  // more bytes than the prefix dropped, so compaction moves at most as many
+  // bytes as were sent. Compacting as soon as that holds, rather than when
+  // the capacity runs out, keeps the buffer near twice the live bytes and
+  // its writes in the same cache-warm region, where a buffer refilled up
+  // to its (pooled) capacity streams every byte through cold memory. A
+  // fully acknowledged buffer is just emptied.
+  static constexpr std::size_t kMinPrefix = 64 * 1024;
   const auto acked = static_cast<std::size_t>(h.snd_una - h.base_seq);
   const std::size_t live = h.buffer.size() - acked;
-  if (acked == 0 || acked < live) return;
-  if (live > 0 && h.buffer.capacity() - h.buffer.size() >= kHeadroom) return;
+  if (acked == 0) return;
+  if (live > 0 && (acked < live || acked < kMinPrefix)) return;
   h.buffer.erase(h.buffer.begin(),
                  h.buffer.begin() + static_cast<std::ptrdiff_t>(acked));
   h.compacted += live;

@@ -24,9 +24,10 @@
 //
 // The send buffer is written in place: a writer appends to write_buffer()
 // and commit()s the count, so bytes land in the buffer once. Acknowledged
-// bytes are dropped by compaction only when the buffer runs short of room
-// and they are at least as many as the live (unacknowledged and unsent)
-// ones behind them, so compaction moves at most as many bytes as were sent.
+// bytes are dropped by compaction as soon as they are at least as many as
+// the live (unacknowledged and unsent) ones behind them, and at least
+// 64 KB, so compaction moves at most as many bytes as were sent and the
+// buffer stays near twice the live bytes.
 // Buffers are recycled through a small, bounded per-thread pool: a
 // connection starts with the capacity an earlier one grew.
 #pragma once
