@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 build + test pass, then the simulator's
 # bit-exactness against the recorded sweep digests and the fig-level
-# goldens (tests/golden/), then the same test
-# suite under AddressSanitizer + UndefinedBehaviorSanitizer, then the
-# threaded runner tests under ThreadSanitizer (separate build dir per
-# sanitizer — sanitized objects are not ABI-compatible with each other or
-# the plain build; TSan in particular excludes ASan).
+# goldens (tests/golden/), then a warning-free Release build (-Werror),
+# then the same test suite under AddressSanitizer +
+# UndefinedBehaviorSanitizer, then the threaded runner tests under
+# ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
+# not ABI-compatible with each other or the plain build; TSan in particular
+# excludes ASan).
 #
-#   scripts/check.sh            # tier-1 + digests + goldens + ASan/UBSan + TSan
+#   scripts/check.sh            # tier-1 + digests + goldens + -Werror +
+#                               # ASan/UBSan + TSan
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Exits non-zero on the first failure.
@@ -87,6 +89,15 @@ for name in "${golden_benches[@]}"; do
   fi
 done
 echo "${#golden_benches[@]} fig-level goldens match"
+
+echo "=== warnings: Release build with -Werror (build-werror/) ==="
+# The optimiser sees more at -O3 than in the default RelWithDebInfo build
+# (GCC 12's -Wrestrict reports, for one, appeared only here), so the whole
+# tree — library, tests, benches, tools — must build warning-free as
+# Release.
+cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-werror -j "$jobs"
 
 echo "=== sanitizers: ASan + UBSan incl. fuzz smoke (build-asan/) ==="
 # The suite includes the seeded mini-fuzz tier (tests/fuzz_*), so this stage

@@ -9,8 +9,16 @@
 #   scripts/profile.sh --quick      # reduced sweep, a few seconds
 #   scripts/profile.sh --top 30     # also list the 30 hottest functions
 #   scripts/profile.sh --static     # link statically: libc is sampled too
+#   scripts/profile.sh --h2bench sweep-fig2b [--seed 5 --seconds 10]
+#                                   # the benchmark's own timed sweep
 #
-# Other flags are forwarded to bench_fig2b_push_vs_nopush. Only code linked
+# Other flags are forwarded to bench_fig2b_push_vs_nopush, or with
+# --h2bench WORKLOAD to the h2bench binary (default --seed 1 --seconds 10
+# --trace 0). The two load their sites differently: bench_fig2b replays
+# each site about 60 times, so its parsed-stylesheet cache nearly always
+# hits, while h2bench loads each site twice and parses on about half its
+# loads. --h2bench builds the h2bench package (h2bench/, its sources
+# untouched) with -pg in build-prof-h2bench/. Only code linked
 # into the executable is sampled. A default (dynamic) build therefore leaves
 # time inside shared libraries — libc's memmove/malloc/memcmp, libstdc++'s
 # out-of-line parts — out of the total. --static links with -pg -static (in
@@ -20,9 +28,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-build_dir=build-prof
 link_flags=-pg
+static=0
 top=0
+workload=
 args=()
 while [[ $# -gt 0 ]]; do
   case "$1" in
@@ -31,9 +40,13 @@ while [[ $# -gt 0 ]]; do
       shift 2
       ;;
     --static)
-      build_dir=build-prof-static
       link_flags="-pg -static"
+      static=1
       shift
+      ;;
+    --h2bench)
+      workload="$2"
+      shift 2
       ;;
     *)
       args+=("$1")
@@ -42,20 +55,39 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 
+if [[ -n "$workload" ]]; then
+  source_dir=h2bench
+  build_dir=build-prof-h2bench
+  target=h2bench
+  binary=h2bench
+else
+  source_dir=.
+  build_dir=build-prof
+  target=bench_fig2b_push_vs_nopush
+  binary=bench/bench_fig2b_push_vs_nopush
+fi
+if [[ "$static" == 1 ]]; then build_dir+=-static; fi
+
 jobs=$(nproc 2>/dev/null || echo 4)
 echo "=== build: Release + ${link_flags} (${build_dir}/) ===" >&2
-cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release \
+cmake -B "$build_dir" -S "$source_dir" -DCMAKE_BUILD_TYPE=Release \
   -DCMAKE_CXX_FLAGS=-pg -DCMAKE_EXE_LINKER_FLAGS="$link_flags" >/dev/null
-cmake --build "$build_dir" -j "$jobs" --target bench_fig2b_push_vs_nopush \
-  >/dev/null
-bench_bin=$(pwd)/$build_dir/bench/bench_fig2b_push_vs_nopush
+cmake --build "$build_dir" -j "$jobs" --target "$target" >/dev/null
+bench_bin=$(pwd)/$build_dir/$binary
 
 # gmon.out and the harness's BENCH_*.json land in the working directory.
 run_dir=$(mktemp -d)
 trap 'rm -rf "$run_dir"' EXIT
-echo "=== run: fig2b sweep, --jobs 1 ${args[*]:-} ===" >&2
-(cd "$run_dir" && env -u H2PUSH_CACHE -u H2PUSH_JOBS \
-  "$bench_bin" --jobs 1 "${args[@]}" >/dev/null)
+if [[ -n "$workload" ]]; then
+  # Defaults first: a repeated flag's last value wins in h2bench.
+  echo "=== run: h2bench --workload $workload ${args[*]:-} ===" >&2
+  (cd "$run_dir" && "$bench_bin" --workload "$workload" --seed 1 \
+    --seconds 10 --trace 0 "${args[@]}" >/dev/null)
+else
+  echo "=== run: fig2b sweep, --jobs 1 ${args[*]:-} ===" >&2
+  (cd "$run_dir" && env -u H2PUSH_CACHE -u H2PUSH_JOBS \
+    "$bench_bin" --jobs 1 "${args[@]}" >/dev/null)
+fi
 
 gprof -b -p "$bench_bin" "$run_dir/gmon.out" > "$run_dir/flat.txt"
 python3 - "$run_dir/flat.txt" "$top" <<'EOF'

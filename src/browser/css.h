@@ -13,68 +13,100 @@
 // CSS extraction (the paper's penthouse step) in core/critical_css.
 #pragma once
 
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace h2push::browser {
 
-struct Stylesheet;
-Stylesheet parse_css(std::string_view text);
+// Storage: a Stylesheet owns one heap copy of the sheet text, and every
+// string below is a view into it. Selectors, compounds, classes,
+// declarations and url()s live in one sheet-wide array each, and the spans
+// below point into those arrays. Everything therefore stays valid for as
+// long as the Stylesheet that produced it, moves included, and no longer.
+// Tags and properties keep the case they were written in; they match
+// case-insensitively (the C locale's std::tolower folds them before a
+// compare: CompoundSelector::tag_is, util::lower_equals).
 
 /// One compound selector part: "div.hero#main" → tag=div, classes={hero},
 /// id=main. Empty fields are wildcards.
 struct CompoundSelector {
-  std::string tag;
-  std::vector<std::string> classes;
-  std::string id;
+  std::string_view tag;  // as written; compare with tag_is()
+  std::span<const std::string_view> classes;
+  std::string_view id;
+
+  /// Does the tag, lowercased, equal `lower`?
+  bool tag_is(std::string_view lower) const noexcept;
 };
 
 /// A full selector: descendant chain of compounds, e.g. ".nav a".
 struct Selector {
-  std::vector<CompoundSelector> parts;  // outermost ancestor first
-  std::string text;                     // original serialization
+  std::span<const CompoundSelector> parts;  // outermost ancestor first
+  std::string_view text;                    // original serialization
 };
 
 struct Declaration {
-  std::string property;  // lowercase
-  std::string value;
+  std::string_view property;  // as written; compare with util::lower_equals
+  std::string_view value;
 };
 
+class CssParser;
+
 struct CssRule {
-  std::vector<Selector> selectors;
-  std::vector<Declaration> declarations;
-  std::string text;  // original rule text (for critical-CSS reassembly)
+  std::span<const Selector> selectors;
+  std::span<const Declaration> declarations;
+  std::string_view text;  // original rule text (for critical-CSS reassembly)
 
   /// First font-family of the first font-family declaration, unquoted;
   /// empty if none.
-  const std::string& font_family() const noexcept { return font_family_; }
+  std::string_view font_family() const noexcept { return font_family_; }
   /// url(...) references in the declarations (background images).
-  const std::vector<std::string>& urls() const noexcept { return urls_; }
+  std::span<const std::string_view> urls() const noexcept { return urls_; }
 
  private:
-  friend Stylesheet parse_css(std::string_view text);
-  // Derived from `declarations` once, when parse_css builds the rule: a
-  // shared sheet is read by every load of its site.
-  std::string font_family_;
-  std::vector<std::string> urls_;
+  friend class CssParser;
+  // Derived from `declarations` once, when the rule is parsed: a shared
+  // sheet is read by every load of its site.
+  std::string_view font_family_;
+  std::span<const std::string_view> urls_;
 };
 
 struct FontFace {
-  std::string family;
-  std::string url;
-  std::string text;  // original @font-face block
+  std::string_view family;
+  std::string_view url;
+  std::string_view text;  // original @font-face block
 };
 
+/// Move-only: the views and spans of its rules point into storage the
+/// sheet owns, which a move hands over without relocating.
 struct Stylesheet {
+  Stylesheet() = default;
+  Stylesheet(Stylesheet&&) noexcept = default;
+  Stylesheet& operator=(Stylesheet&&) noexcept = default;
+  Stylesheet(const Stylesheet&) = delete;
+  Stylesheet& operator=(const Stylesheet&) = delete;
+
   std::vector<CssRule> rules;
   std::vector<FontFace> font_faces;
 
   /// All url() references: background images + font files.
-  std::vector<std::string> resource_urls() const;
+  std::vector<std::string_view> resource_urls() const;
   /// @font-face url for a family, if any.
-  std::optional<std::string> font_url(std::string_view family) const;
+  std::optional<std::string_view> font_url(std::string_view family) const;
+
+ private:
+  friend class CssParser;
+  // Not a std::string: a short string's bytes live inside the object and
+  // would move with it, leaving every view behind.
+  std::unique_ptr<char[]> text_;
+  std::vector<Selector> selectors_;
+  std::vector<CompoundSelector> compounds_;
+  std::vector<std::string_view> classes_;
+  std::vector<Declaration> declarations_;
+  std::vector<std::string_view> urls_;
 };
 
 Stylesheet parse_css(std::string_view text);

@@ -285,9 +285,9 @@ void Renderer::on_sheet_loaded(std::size_t index,
   // is parsed (paper s1: "hidden fonts referenced in the CSS").
   for (const auto& face : sheet.model->font_faces) {
     if (face.url.empty() || fonts_.count(face.family) != 0) continue;
-    fonts_[face.family] =
-        fetches_.fetch(http::resolve(main_url_, face.url),
-                       NetPriority::kHighest);
+    fonts_.emplace(face.family,
+                   fetches_.fetch(http::resolve(main_url_, face.url),
+                                  NetPriority::kHighest));
   }
   for (const auto& rule : sheet.model->rules) {
     for (const auto& url : rule.urls()) {
@@ -454,13 +454,13 @@ void Renderer::add_image_unit(const HtmlToken& tag,
   schedule_paint();
 }
 
-std::optional<std::string> Renderer::required_font(
+std::optional<std::string_view> Renderer::required_font(
     const PaintUnit& unit) const {
   if (unit.kind != PaintUnit::Kind::kText) return std::nullopt;
   for (const auto& sheet : sheets_) {
     if (!sheet.loaded) continue;
     for (const auto& rule : sheet.model->rules) {
-      const std::string& family = rule.font_family();
+      const std::string_view family = rule.font_family();
       if (family.empty()) continue;
       if (!matches(rule, unit.path)) continue;
       if (fonts_.count(family) != 0) return family;

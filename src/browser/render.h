@@ -118,7 +118,7 @@ class Renderer {
   void evaluate_paint();
   bool unit_paintable(const PaintUnit& unit) const;
   double unit_fraction(const PaintUnit& unit) const;
-  std::optional<std::string> required_font(const PaintUnit& unit) const;
+  std::optional<std::string_view> required_font(const PaintUnit& unit) const;
   void check_onload();
 
   sim::Simulator& sim_;
@@ -147,7 +147,8 @@ class Renderer {
   bool in_head_ = true;
 
   std::vector<Sheet> sheets_;
-  std::map<std::string, std::shared_ptr<Fetch>> fonts_;  // family → fetch
+  std::map<std::string, std::shared_ptr<Fetch>, std::less<>>
+      fonts_;  // family → fetch
   std::vector<std::pair<ElementPath, double>> containers_;  // div path, y
   std::vector<PaintUnit> units_;
   double total_af_weight_ = 0;

@@ -177,7 +177,7 @@ CriticalAnalysis analyze_critical(const web::Site& site,
   out.head_blocking_js = layout.head_blocking_js;
   out.af_images = layout.af_images;
 
-  std::set<std::string> needed_fonts;
+  std::set<std::string, std::less<>> needed_fonts;
   std::string critical;
   for (const auto& sheet_url : layout.stylesheets) {
     auto url = http::parse_url(sheet_url);
@@ -198,8 +198,8 @@ CriticalAnalysis analyze_critical(const web::Site& site,
       if (!is_critical) continue;
       critical += rule.text;
       critical += '\n';
-      const std::string& family = rule.font_family();
-      if (!family.empty()) needed_fonts.insert(family);
+      const std::string_view family = rule.font_family();
+      if (!family.empty()) needed_fonts.emplace(family);
       for (const auto& bg : rule.urls()) {
         out.bg_images.push_back(http::resolve(site.main_url, bg).str());
       }

@@ -10,7 +10,10 @@ std::string Url::origin() const {
   const bool default_port = (scheme == "https" && port == 443) ||
                             (scheme == "http" && port == 80);
   std::string out = scheme + "://" + host;
-  if (!default_port) out += ":" + std::to_string(port);
+  if (!default_port) {
+    out += ':';
+    out += std::to_string(port);
+  }
   return out;
 }
 

@@ -48,6 +48,44 @@ int open_tcp_socket(const std::string& addr, std::uint16_t port,
   return fd;
 }
 
+/// Pump sink over fetch_urls' socket: each turn takes up to 256 KB under
+/// the hard cap and sends all of it before returning, polling for room
+/// when the socket is full. A failed send closes the budget; the caller
+/// reports it.
+struct BlockingSendSink {
+  static constexpr util::WriteCap kCap = util::WriteCap::kHard;
+
+  int fd;
+  std::vector<std::uint8_t>& staging;
+  bool failed = false;
+  int send_errno = 0;
+
+  std::size_t budget() const { return failed ? 0 : 256 * 1024; }
+  std::vector<std::uint8_t>& buffer() {
+    staging.clear();
+    return staging;
+  }
+  void commit(std::span<const std::uint8_t> bytes) {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = util::posix::send_retry(fd, bytes.data() + sent,
+                                                bytes.size() - sent);
+      if (n > 0) {
+        sent += static_cast<std::size_t>(n);
+        continue;
+      }
+      if (n < 0 && util::posix::would_block(errno)) {
+        struct pollfd pw = {fd, POLLOUT, 0};
+        util::posix::poll_retry(&pw, 1, 100);
+        continue;
+      }
+      failed = true;
+      send_errno = errno;
+      return;
+    }
+  }
+};
+
 http::HeaderBlock request_headers(const std::string& host,
                                   const std::string& path) {
   http::Request req;
@@ -123,6 +161,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
   std::size_t next_url = 0;
   std::size_t in_flight = 0;
   std::vector<std::uint8_t> out;
+  BlockingSendSink sink{fd, out};
   std::vector<std::uint8_t> in(64 * 1024);
   const std::uint64_t deadline =
       EventLoop::clock_ms() + options.timeout_ms;
@@ -154,27 +193,11 @@ fetch_urls(const std::string& addr, std::uint16_t port,
         ++in_flight;
       }
     }
-    while (conn.want_write()) {
-      out.clear();
-      conn.produce_into(out, 256 * 1024);
-      if (out.empty()) break;
-      std::size_t sent = 0;
-      while (sent < out.size()) {
-        const ssize_t n = util::posix::send_retry(fd, out.data() + sent,
-                                                  out.size() - sent);
-        if (n > 0) {
-          sent += static_cast<std::size_t>(n);
-          continue;
-        }
-        if (n < 0 && util::posix::would_block(errno)) {
-          struct pollfd pw = {fd, POLLOUT, 0};
-          util::posix::poll_retry(&pw, 1, 100);
-          continue;
-        }
-        util::posix::close_retry(fd);
-        return util::make_unexpected(std::string("send: ") +
-                                     std::strerror(errno));
-      }
+    util::pump(conn, sink);
+    if (sink.failed) {
+      util::posix::close_retry(fd);
+      return util::make_unexpected(std::string("send: ") +
+                                   std::strerror(sink.send_errno));
     }
     struct pollfd pr = {fd, POLLIN, 0};
     const int ready = util::posix::poll_retry(&pr, 1, 50);

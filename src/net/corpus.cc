@@ -55,7 +55,8 @@ LiveCorpus build_live_corpus(const LiveCorpusConfig& config) {
     }
     // Merge origins, namespacing the synthetic IPs per site so one site's
     // primary server never becomes authoritative for another's hosts.
-    const std::string ip_prefix = "s" + std::to_string(site_index) + "/";
+    std::string ip_prefix = "s";
+    ip_prefix.append(std::to_string(site_index)).append("/");
     for (const auto& ip : site.origins.all_ips()) {
       for (const auto& host : site.origins.hosts_on_ip(ip)) {
         corpus.origins.add_host(host, ip_prefix + ip);

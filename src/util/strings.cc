@@ -7,16 +7,9 @@ namespace h2push::util {
 
 std::vector<std::string_view> split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
+  FieldSplitter fields(s, delim);
+  for (std::string_view f; fields.next(f);) out.push_back(f);
+  return out;
 }
 
 std::string to_lower(std::string_view s) {
@@ -26,6 +19,17 @@ std::string to_lower(std::string_view s) {
   return out;
 }
 
+bool lower_equals(std::string_view s, std::string_view lower) noexcept {
+  if (s.size() != lower.size()) return false;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(s[i])) !=
+        static_cast<unsigned char>(lower[i])) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
@@ -33,14 +37,6 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
 bool ends_with(std::string_view s, std::string_view suffix) noexcept {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string_view trim(std::string_view s) noexcept {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front())))
-    s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())))
-    s.remove_suffix(1);
-  return s;
 }
 
 std::string human_bytes(double bytes) {

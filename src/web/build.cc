@@ -256,7 +256,7 @@ Site build_site(PagePlan plan,
     const std::string cls =
         i == 0 ? "t" + std::to_string(i) + font_class : "t" + std::to_string(i);
     parts.push_back("<p class=\"" + cls + "\">");
-    parts.push_back("#" + std::to_string(i));  // paragraph placeholder
+    parts.push_back(std::string("#").append(std::to_string(i)));  // placeholder
     parts.push_back("</p>\n");
   }
   parts.push_back("</div>\n");
@@ -285,7 +285,7 @@ Site build_site(PagePlan plan,
   std::size_t mid_idx = 0;
   for (int i = plan.above_fold_text_blocks; i < n_par; ++i) {
     parts.push_back("<p class=\"t" + std::to_string(i) + "\">");
-    parts.push_back("#" + std::to_string(i));
+    parts.push_back(std::string("#").append(std::to_string(i)));
     parts.push_back("</p>\n");
     // Spread middle resources across paragraphs.
     const std::size_t target =

@@ -218,7 +218,7 @@ TEST(Corpus, ObjectCountsWithinProfileBounds) {
   const auto profile = PopulationProfile::top100();
   for (int i = 0; i < 20; ++i) {
     const auto plan =
-        generate_page(profile, "t" + std::to_string(i), 7);
+        generate_page(profile, std::string("t").append(std::to_string(i)), 7);
     EXPECT_GE(static_cast<int>(plan.resources.size()), profile.min_objects);
     EXPECT_LE(static_cast<int>(plan.resources.size()), profile.max_objects);
   }
