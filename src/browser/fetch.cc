@@ -123,7 +123,7 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
     url.host = std::string(http::find_header(request_headers, ":authority"));
     url.path = std::string(http::find_header(request_headers, ":path"));
     if (url.scheme.empty()) url.scheme = "https";
-    const std::string key = url.str();
+    std::string key = url.str();
     // Cancel if cached or already requested as a normal stream.
     if (config_.cached_urls.count(key) != 0 || by_url_.count(key) != 0) {
       ++pushes_cancelled_;
@@ -139,12 +139,13 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
       return;
     }
     auto fetch = std::make_shared<Fetch>();
-    fetch->url_ = url;
+    fetch->url_ = std::move(url);
+    fetch->key_ = std::move(key);
     fetch->pushed_ = true;
     fetch->t_initiated_ = sim_.now();
     fetch->group_id_ = g.id;
     fetch->stream_id_ = promised;
-    by_url_[key] = fetch;
+    by_url_.emplace(fetch->key_, fetch);
     fetches_.push_back(fetch);
     trace_fetch_begin(*fetch);
     g.by_stream[promised] = std::move(fetch);
@@ -162,9 +163,8 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
                       config_.trace->register_track("h2.client." + host));
   }
 
-  g.transport->set_receiver([&g](std::span<const std::uint8_t> bytes) {
-    g.conn->receive(bytes);
-  });
+  g.transport->set_receiver(
+      [&g](util::WireBytes bytes) { g.conn->receive(bytes); });
   g.transport->set_writable_callback([this, &g] { pump(g); });
   g.transport->connect([this, &g] {
     g.connected = true;
@@ -195,6 +195,14 @@ FetchManager::Group& FetchManager::group_for(const std::string& host) {
   return g;
 }
 
+std::uint64_t FetchManager::parser_copied_bytes() const {
+  std::uint64_t copied = 0;
+  for (const auto& [id, g] : groups_) {
+    if (g->conn) copied += g->conn->parser_copied_bytes();
+  }
+  return copied;
+}
+
 void FetchManager::pump(Group& g) {
   if (!g.connected || !g.transport) return;
   util::pump(*g.conn, util::StagedSink{*g.transport, staging_});
@@ -205,7 +213,7 @@ void FetchManager::trace_fetch_begin(Fetch& fetch) {
   fetch.trace_id_ = fetches_.size();  // 1-based initiation order
   config_.trace->async_begin(config_.trace_track, "browser", "fetch",
                              fetch.trace_id_,
-                             {{"url", fetch.url_.str()},
+                             {{"url", fetch.key_},
                               {"pushed", fetch.pushed_ ? 1 : 0},
                               {"priority", static_cast<int>(fetch.priority_)}});
 }
@@ -346,9 +354,8 @@ void FetchManager::h1_dispatch(Group& g) {
       };
       cbs.on_write_ready = [this, &c] { h1_pump(c); };
       c.conn = std::make_unique<http1::ClientConnection>(std::move(cbs));
-      c.transport->set_receiver([&c](std::span<const std::uint8_t> bytes) {
-        c.conn->receive(bytes);
-      });
+      c.transport->set_receiver(
+          [&c](util::WireBytes bytes) { c.conn->receive(bytes); });
       c.transport->set_writable_callback([this, &c] { h1_pump(c); });
       c.transport->connect([this, &g, &c] {
         c.connected = true;
@@ -400,7 +407,7 @@ void FetchManager::release_delayed() {
 
 std::shared_ptr<Fetch> FetchManager::fetch(const http::Url& url,
                                            NetPriority priority) {
-  const std::string key = url.str();
+  std::string key = url.str();
   auto it = by_url_.find(key);
   if (it != by_url_.end()) {
     auto& existing = it->second;
@@ -426,13 +433,14 @@ std::shared_ptr<Fetch> FetchManager::fetch(const http::Url& url,
   }
   auto fetch = std::make_shared<Fetch>();
   fetch->url_ = url;
+  fetch->key_ = std::move(key);
   fetch->priority_ = priority;
   fetch->adopted_ = true;
   fetch->t_initiated_ = sim_.now();
-  by_url_[key] = fetch;
+  by_url_.emplace(fetch->key_, fetch);
   fetches_.push_back(fetch);
   trace_fetch_begin(*fetch);
-  if (config_.cached_urls.count(key) != 0) {
+  if (config_.cached_urls.count(fetch->key_) != 0) {
     fetch->from_cache_ = true;
     fetch->status_ = 200;
     fetch->complete_ = true;

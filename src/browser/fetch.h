@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <deque>
@@ -28,6 +29,7 @@
 #include "replay/origin.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
+#include "util/wire.h"
 
 namespace h2push::browser {
 
@@ -41,8 +43,10 @@ class ClientTransport {
   virtual bool writable() const = 0;
   /// Preferred write granularity (the TCP watermark).
   virtual std::size_t write_chunk() const = 0;
+  /// Received bytes, a run at a time (borrowed runs lie in a pinned
+  /// response body, util/wire.h).
   virtual void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) = 0;
+      std::function<void(util::WireBytes)> receiver) = 0;
   virtual void set_writable_callback(std::function<void()> cb) = 0;
   virtual sim::Time connect_end_time() const = 0;
 };
@@ -61,6 +65,8 @@ class Fetch {
   };
 
   const http::Url& url() const noexcept { return url_; }
+  /// url().str(), built once when the fetch is created: its key.
+  const std::string& key() const noexcept { return key_; }
   NetPriority priority() const noexcept { return priority_; }
   bool complete() const noexcept { return complete_; }
   bool pushed() const noexcept { return pushed_; }
@@ -87,6 +93,7 @@ class Fetch {
   friend class FetchManager;
 
   http::Url url_;
+  std::string key_;
   NetPriority priority_ = NetPriority::kLowest;
   bool complete_ = false;
   bool pushed_ = false;
@@ -129,6 +136,9 @@ class FetchManager {
   std::uint64_t pushed_bytes() const noexcept { return pushed_bytes_; }
   std::uint64_t total_body_bytes() const noexcept { return total_bytes_; }
   std::size_t pushes_cancelled() const noexcept { return pushes_cancelled_; }
+  /// Bytes the H2 connections' frame parsers copied to reassemble frames
+  /// (h2::Connection::parser_copied_bytes).
+  std::uint64_t parser_copied_bytes() const;
 
   /// All fetches in initiation order (dependency analysis reads this).
   const std::vector<std::shared_ptr<Fetch>>& fetches() const noexcept {
@@ -183,7 +193,8 @@ class FetchManager {
   TransportFactory factory_;
   std::map<std::string, std::size_t> host_group_;
   std::map<std::size_t, std::unique_ptr<Group>> groups_;
-  std::map<std::string, std::shared_ptr<Fetch>> by_url_;
+  /// Keyed by Fetch::key(), which the fetch in the entry owns.
+  std::map<std::string_view, std::shared_ptr<Fetch>, std::less<>> by_url_;
   std::vector<std::shared_ptr<Fetch>> fetches_;
   std::vector<std::shared_ptr<Fetch>> delayed_;  // throttled image requests
   std::function<void()> progress_;

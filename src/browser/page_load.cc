@@ -37,7 +37,7 @@ PageLoadResult PageLoad::result() {
   for (const auto& fetch : f.fetches()) {
     if (fetch->pushed()) ++out.num_pushed;
     ResourceTiming rt;
-    rt.url = fetch->url().str();
+    rt.url = fetch->key();
     rt.type = fetch->type();
     rt.t_initiated_ms = sim::to_ms(fetch->initiated_at() - t0);
     rt.t_headers_ms = sim::to_ms(fetch->headers_at() - t0);

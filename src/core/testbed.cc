@@ -36,7 +36,7 @@ class SimTransport final : public browser::ClientTransport {
     };
     callbacks.on_accepted = [this] { pump_server(); };
     callbacks.on_receive = [this](TcpConnection::Side side,
-                                  std::span<const std::uint8_t> bytes) {
+                                  util::WireBytes bytes) {
       if (side == TcpConnection::Side::kServer) {
         server_.connection().receive(bytes);
         pump_server();
@@ -81,8 +81,7 @@ class SimTransport final : public browser::ClientTransport {
     return tcp_->writable(TcpConnection::Side::kClient);
   }
   std::size_t write_chunk() const override { return kWriteChunk; }
-  void set_receiver(
-      std::function<void(std::span<const std::uint8_t>)> receiver) override {
+  void set_receiver(std::function<void(util::WireBytes)> receiver) override {
     receiver_ = std::move(receiver);
   }
   void set_writable_callback(std::function<void()> cb) override {
@@ -93,24 +92,27 @@ class SimTransport final : public browser::ClientTransport {
   }
 
   const TcpConnection& tcp() const { return *tcp_; }
+  Server& server() { return server_; }
 
  private:
   static constexpr std::size_t kWriteChunk = 2 * 1460;  // the TCP watermark
 
   /// The server's end of the session as its pump's sink: the connection
-  /// appends straight into the TCP send buffer, so each wire byte is
-  /// written once. Soft cap, like the client side (util/pump.h).
+  /// appends straight into the TCP send buffer, frame headers as owned
+  /// bytes and DATA payloads as references into their bodies, so no body
+  /// byte is copied on the way to the wire. Soft cap, like the client side
+  /// (util/pump.h).
   struct ServerSink {
     static constexpr util::WriteCap kCap = util::WriteCap::kSoft;
     TcpConnection& tcp;
     std::size_t budget() const {
       return tcp.writable(TcpConnection::Side::kServer) ? kWriteChunk : 0;
     }
-    std::vector<std::uint8_t>& buffer() {
-      return tcp.write_buffer(TcpConnection::Side::kServer);
+    util::WireOut& buffer() {
+      return tcp.writer(TcpConnection::Side::kServer);
     }
-    void commit(std::span<const std::uint8_t> bytes) {
-      tcp.commit(TcpConnection::Side::kServer, bytes.size());
+    void commit(std::size_t appended) {
+      tcp.commit(TcpConnection::Side::kServer, appended);
     }
   };
 
@@ -121,7 +123,7 @@ class SimTransport final : public browser::ClientTransport {
   std::unique_ptr<TcpConnection> tcp_;
   sim::Time connect_stagger_ = 0;
   std::function<void()> on_connected_;
-  std::function<void(std::span<const std::uint8_t>)> receiver_;
+  std::function<void(util::WireBytes)> receiver_;
   std::function<void()> writable_cb_;
 };
 
@@ -180,7 +182,7 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
   util::Rng rtt_rng = master.fork("rtt");
   util::Rng think_rng = master.fork("think");
   // H2 sessions only: the H1 arm has never counted retransmissions.
-  std::vector<const SimTransport<server::ReplayServer>*> transports;
+  std::vector<SimTransport<server::ReplayServer>*> transports;
 
   const bool use_http1 = config.browser.use_http1;
   browser::TransportFactory factory =
@@ -239,8 +241,18 @@ browser::PageLoadResult run_page_load_uncached(const web::Site& site,
   auto result = load.result();
   result.packets_dropped =
       downlink->dropped_packets() + uplink->dropped_packets();
-  for (const auto* t : transports) {
+  for (auto* t : transports) {
     result.retransmissions += t->tcp().retransmissions();
+    if (config.wire != nullptr) {
+      config.wire->compacted +=
+          t->tcp().compacted_bytes(TcpConnection::Side::kClient) +
+          t->tcp().compacted_bytes(TcpConnection::Side::kServer);
+      config.wire->parser_copied +=
+          t->server().connection().parser_copied_bytes();
+    }
+  }
+  if (config.wire != nullptr) {
+    config.wire->parser_copied += load.fetches().parser_copied_bytes();
   }
   if (tr != nullptr) {
     // Finalize the roll-up and stamp the derived marks at their true times;
@@ -287,7 +299,7 @@ browser::PageLoadResult run_page_load(const web::Site& site,
                                       const Strategy& strategy,
                                       const RunConfig& config) {
   RunCache* cache = config.cache;
-  if (cache == nullptr || config.trace != nullptr) {
+  if (cache == nullptr || config.trace != nullptr || config.wire != nullptr) {
     return run_page_load_uncached(site, strategy, config);
   }
   const util::Hash128 key = cache->key(site, strategy, config);

@@ -8,6 +8,7 @@
 // (seed, site, run_index), so a run is exactly reproducible.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "browser/page_load.h"
@@ -22,6 +23,16 @@ class TraceRecorder;
 namespace h2push::core {
 
 class RunCache;
+
+/// Bytes the simulated wire copied, summed over a run's H2 sessions: what
+/// TCP send-buffer compaction moved (both directions) and what the frame
+/// parsers of both ends copied to reassemble frames split across
+/// deliveries. Body bytes travel by reference, so both count only frame
+/// headers and control frames.
+struct WireCounts {
+  std::uint64_t compacted = 0;
+  std::uint64_t parser_copied = 0;
+};
 
 struct RunConfig {
   sim::NetworkConditions net = sim::NetworkConditions::testbed();
@@ -40,6 +51,9 @@ struct RunConfig {
   /// automatically. Traced runs bypass the cache (a cached result cannot
   /// replay the event stream). Safe to share across ParallelRunner workers.
   RunCache* cache = nullptr;
+  /// Optional byte-path tally of the run (null = off); like `trace`, a
+  /// run that fills it bypasses the cache.
+  WireCounts* wire = nullptr;
 };
 
 /// Replay `site` once under `strategy`.

@@ -304,10 +304,11 @@ std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
   return out;
 }
 
-std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
+std::size_t Connection::produce_into(util::WireOut& out,
                                      std::size_t max_bytes,
                                      util::WriteCap cap) {
   const bool hard = cap == util::WriteCap::kHard;
+  std::vector<std::uint8_t>& owned = out.owned();
   const std::size_t start = out.size();
   const auto used = [&] { return out.size() - start; };
   // 1. Control frames (SETTINGS, HEADERS, PUSH_PROMISE, RST, WINDOW_UPDATE):
@@ -320,7 +321,7 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
     if (hard) take = std::min(take, max_bytes - used());
     const auto begin =
         control_bytes_.begin() + static_cast<std::ptrdiff_t>(control_offset_);
-    out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
+    owned.insert(owned.end(), begin, begin + static_cast<std::ptrdiff_t>(take));
     control_offset_ += take;
     if (control_offset_ == end) ++control_chunk_;
   }
@@ -356,9 +357,9 @@ std::size_t Connection::produce_into(std::vector<std::uint8_t>& out,
     const bool end_stream = (n == remaining);
     const auto* base =
         reinterpret_cast<const std::uint8_t*>(s.body->data()) + s.body_offset;
-    // Serialized straight into the output buffer: no DataFrame temp, no
-    // per-frame payload copy + re-copy.
-    append_data_frame(out, id, end_stream, {base, n});
+    // Serialized straight into the output buffer, the payload by reference
+    // where the sink keeps one: no DataFrame temp, no payload copy.
+    append_data_frame(out, id, end_stream, {base, n}, s.body);
     s.body_offset += n;
     s.send_window -= static_cast<std::int64_t>(n);
     send_window_ -= static_cast<std::int64_t>(n);
@@ -397,14 +398,15 @@ void Connection::maybe_close(std::uint32_t id) {
   }
 }
 
-void Connection::receive(std::span<const std::uint8_t> bytes) {
+void Connection::receive(util::WireBytes bytes) {
   if (errored_) return;
   // Receiving before start() (e.g. the peer's SETTINGS racing the transport
   // handshake) must not let an ACK jump ahead of our preface/SETTINGS.
   start();
   // The server must strip the 24-byte client preface first.
   if (preface_pending_) {
-    preface_buf_.insert(preface_buf_.end(), bytes.begin(), bytes.end());
+    preface_buf_.insert(preface_buf_.end(), bytes.bytes.begin(),
+                        bytes.bytes.end());
     if (preface_buf_.size() < 24) return;
     const auto expected = client_preface();
     if (!std::equal(expected.begin(), expected.end(), preface_buf_.begin())) {

@@ -122,7 +122,12 @@ class Connection : private FrameHandler {
                        Body body);
 
   // --- transport glue ---
-  void receive(std::span<const std::uint8_t> bytes);
+  /// Feed received bytes. Borrowed ones (util/wire.h) let a DATA payload
+  /// split across deliveries reach on_data as a view into its body.
+  void receive(util::WireBytes bytes);
+  void receive(std::span<const std::uint8_t> bytes) {
+    receive(util::WireBytes{bytes});
+  }
   bool want_write() const;
   /// True when nothing is queued AND no stream still holds response data —
   /// even flow-control-blocked data want_write() would not report. The
@@ -141,9 +146,18 @@ class Connection : private FrameHandler {
   ///    resumes mid-frame); DATA frames are sized down to the budget left.
   ///    A return of 0 with want_write() still true means the budget could
   ///    not fit a DATA frame header — call again once the sink drains.
+  /// DATA payloads go through out.append_borrowed(), so a sink that keeps
+  /// references (the simulator's TCP send buffer) receives them without a
+  /// copy; the returned count includes them.
+  std::size_t produce_into(util::WireOut& out, std::size_t max_bytes,
+                           util::WriteCap cap = util::WriteCap::kHard);
+  /// produce_into, every byte copied into `out`.
   std::size_t produce_into(std::vector<std::uint8_t>& out,
                            std::size_t max_bytes,
-                           util::WriteCap cap = util::WriteCap::kHard);
+                           util::WriteCap cap = util::WriteCap::kHard) {
+    util::WireOut copying(out);
+    return produce_into(copying, max_bytes, cap);
+  }
   /// produce_into under the soft cap, into a fresh vector.
   std::vector<std::uint8_t> produce(std::size_t max_bytes);
 
@@ -174,6 +188,11 @@ class Connection : private FrameHandler {
   /// Error code of the GOAWAY we sent (kNoError while healthy).
   ErrorCode last_error_code() const noexcept { return last_error_code_; }
   std::size_t stream_count() const noexcept { return streams_.size(); }
+  /// Bytes the frame parser copied to reassemble frames split across
+  /// received chunks (FrameParser::copied_bytes).
+  std::uint64_t parser_copied_bytes() const noexcept {
+    return parser_.copied_bytes();
+  }
 
   /// Self-check of the connection's accounting invariants (receive windows
   /// never negative, send windows within RFC bounds, body cursors inside

@@ -189,6 +189,15 @@ void append_data_frame(std::vector<std::uint8_t>& out,
   out.insert(out.end(), payload.begin(), payload.end());
 }
 
+void append_data_frame(util::WireOut& out, std::uint32_t stream_id,
+                       bool end_stream, std::span<const std::uint8_t> payload,
+                       util::Pin pin) {
+  put_frame_header(grow(out.owned(), kFrameHeader), payload.size(),
+                   FrameType::kData, end_stream ? kFlagEndStream : 0,
+                   stream_id);
+  out.append_borrowed(payload, std::move(pin));
+}
+
 void append_headers_frame(std::vector<std::uint8_t>& out,
                           std::uint32_t stream_id, bool end_stream,
                           const std::optional<PrioritySpec>& priority,
@@ -322,11 +331,11 @@ std::vector<std::uint8_t> serialize(const Frame& frame,
 }
 
 std::optional<ParseError> FrameParser::dispatch(
-    std::span<const std::uint8_t> frame, FrameHandler& handler) {
-  const std::uint8_t type = frame[3];
-  const std::uint8_t flags = frame[4];
-  const std::uint32_t stream_id = get_u32(frame, 5) & 0x7fffffff;
-  const std::span<const std::uint8_t> payload = frame.subspan(kFrameHeader);
+    std::span<const std::uint8_t> header,
+    std::span<const std::uint8_t> payload, FrameHandler& handler) {
+  const std::uint8_t type = header[3];
+  const std::uint8_t flags = header[4];
+  const std::uint32_t stream_id = get_u32(header, 5) & 0x7fffffff;
   const auto ft = static_cast<FrameType>(type);
   const auto handle = [&handler](Frame&& f) -> std::optional<ParseError> {
     handler.on_frame(std::move(f));
@@ -512,6 +521,7 @@ std::optional<ParseError> FrameParser::dispatch(
       }
       pending_block_.insert(pending_block_.end(), payload.begin(),
                             payload.end());
+      copied_ += payload.size();
       if (flags & kFlagEndHeaders) {
         expecting_continuation_ = false;
         pending_.block = pending_block_;
@@ -539,6 +549,7 @@ void FrameParser::begin_header_block(const HeaderBlockView& frame,
   }
   pending_ = frame;
   pending_block_.assign(frame.block.begin(), frame.block.end());
+  copied_ += frame.block.size();
   expecting_continuation_ = true;
 }
 
@@ -547,46 +558,90 @@ std::optional<ParseError> FrameParser::poison(ParseError error) {
   return error_;
 }
 
-std::optional<ParseError> FrameParser::parse(
-    std::span<const std::uint8_t> bytes, FrameHandler& handler) {
-  if (error_) return error_;
-  std::size_t pos = 0;
-  // Append up to `want` more bytes of the input to the pending frame.
-  const auto take = [&](std::size_t want) {
-    const std::size_t n = std::min(want, bytes.size() - pos);
-    const auto from = bytes.begin() + static_cast<std::ptrdiff_t>(pos);
-    buffer_.insert(buffer_.end(), from, from + static_cast<std::ptrdiff_t>(n));
+void FrameParser::copy_in(std::span<const std::uint8_t> bytes) {
+  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+  copied_ += bytes.size();
+}
+
+std::size_t FrameParser::gather(util::WireBytes chunk, std::size_t pos) {
+  const std::span<const std::uint8_t> bytes = chunk.bytes;
+  if (buffer_.size() < kFrameHeader) {
+    const std::size_t n =
+        std::min(kFrameHeader - buffer_.size(), bytes.size() - pos);
+    copy_in(bytes.subspan(pos, n));
     pos += n;
-  };
-  if (!buffer_.empty()) {
-    // Finish the frame an earlier chunk began: header first, then payload.
-    if (buffer_.size() < kFrameHeader) take(kFrameHeader - buffer_.size());
-    if (buffer_.size() < kFrameHeader) return std::nullopt;
+    if (buffer_.size() < kFrameHeader) return pos;
+  }
+  const std::size_t have = buffer_.size() - kFrameHeader + view_.size();
+  const std::size_t n =
+      std::min(frame_length(buffer_.data()) - have, bytes.size() - pos);
+  const auto piece = bytes.subspan(pos, n);
+  if (n > 0 && chunk.borrowed() && buffer_.size() == kFrameHeader &&
+      (view_.empty() || view_.data() + view_.size() == piece.data())) {
+    // The payload so far is all borrowed and contiguous: extend the view.
+    if (view_.empty()) {
+      view_pin_ = *chunk.pin;
+      view_ = piece;
+    } else {
+      view_ = {view_.data(), view_.size() + n};
+    }
+  } else if (n > 0) {
+    if (!view_.empty()) {
+      copy_in(view_);
+      view_ = {};
+      view_pin_.reset();
+    }
+    copy_in(piece);
+  }
+  return pos + n;
+}
+
+std::optional<ParseError> FrameParser::parse(util::WireBytes chunk,
+                                             FrameHandler& handler) {
+  if (error_) return error_;
+  const std::span<const std::uint8_t> bytes = chunk.bytes;
+  std::size_t pos = 0;
+  while (pos < bytes.size()) {
+    if (buffer_.empty()) {
+      // A frame wholly inside the chunk is parsed where it lies.
+      const std::size_t left = bytes.size() - pos;
+      if (left >= kFrameHeader) {
+        const std::size_t length = frame_length(bytes.data() + pos);
+        if (length > max_frame_size_) {
+          return poison(parse_error(ErrorCode::kFrameSizeError,
+                                    "frame exceeds max frame size"));
+        }
+        if (left >= kFrameHeader + length) {
+          if (auto error = dispatch(bytes.subspan(pos, kFrameHeader),
+                                    bytes.subspan(pos + kFrameHeader, length),
+                                    handler)) {
+            return poison(std::move(*error));
+          }
+          pos += kFrameHeader + length;
+          continue;
+        }
+      }
+    }
+    // The rest of the chunk, or of the frame an earlier chunk began.
+    pos = gather(chunk, pos);
+    if (buffer_.size() < kFrameHeader) break;  // the chunk ended first
     const std::size_t length = frame_length(buffer_.data());
     if (length > max_frame_size_) {
       return poison(parse_error(ErrorCode::kFrameSizeError,
                                 "frame exceeds max frame size"));
     }
-    take(kFrameHeader + length - buffer_.size());
-    if (buffer_.size() < kFrameHeader + length) return std::nullopt;
-    auto error = dispatch(buffer_, handler);
+    const std::size_t have = buffer_.size() - kFrameHeader + view_.size();
+    if (have < length) break;  // a later chunk ends it
+    const std::span<const std::uint8_t> buffered(buffer_);
+    auto error = dispatch(buffered.first(kFrameHeader),
+                          view_.empty() ? buffered.subspan(kFrameHeader)
+                                        : view_,
+                          handler);
     buffer_.clear();
+    view_ = {};
+    view_pin_.reset();
     if (error) return poison(std::move(*error));
   }
-  while (bytes.size() - pos >= kFrameHeader) {
-    const std::size_t length = frame_length(bytes.data() + pos);
-    if (length > max_frame_size_) {
-      return poison(parse_error(ErrorCode::kFrameSizeError,
-                                "frame exceeds max frame size"));
-    }
-    if (bytes.size() - pos < kFrameHeader + length) break;
-    if (auto error = dispatch(bytes.subspan(pos, kFrameHeader + length),
-                              handler)) {
-      return poison(std::move(*error));
-    }
-    pos += kFrameHeader + length;
-  }
-  take(bytes.size() - pos);  // the start of a frame the next chunk ends
   return std::nullopt;
 }
 

@@ -5,7 +5,9 @@
 // frame types are implemented; HEADERS/PUSH_PROMISE carry opaque HPACK
 // blocks (CONTINUATION reassembly is handled by the parser so consumers
 // always see complete header blocks). The parse loop hands DATA payloads on
-// as views, so receiving DATA copies and allocates nothing per frame.
+// as views, so receiving DATA copies and allocates nothing per frame, and
+// a DATA payload that arrives in borrowed pieces of a body (util/wire.h)
+// stays a view into the body even when it spans chunks.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "util/expected.h"
+#include "util/wire.h"
 
 namespace h2push::h2 {
 
@@ -153,7 +156,8 @@ struct WindowUpdateFrame {
 };
 
 /// A DATA frame as FrameParser::parse hands it on. `data` views the bytes
-/// being parsed — the caller's chunk, or the parser's buffer for a frame
+/// being parsed — the caller's chunk, the body that a split frame's
+/// borrowed pieces came from, or the parser's buffer for any other frame
 /// that spanned chunks — and is valid only during the handler call.
 struct DataView {
   std::uint32_t stream_id = 0;
@@ -218,6 +222,12 @@ std::vector<std::uint8_t> serialize(const Frame& frame,
 void append_data_frame(std::vector<std::uint8_t>& out,
                        std::uint32_t stream_id, bool end_stream,
                        std::span<const std::uint8_t> payload);
+/// The same with a payload that lies in an immutable body `pin` keeps
+/// alive: the 9-byte header is appended as owned bytes, the payload
+/// through out.append_borrowed() (a reference where the sink keeps one).
+void append_data_frame(util::WireOut& out, std::uint32_t stream_id,
+                       bool end_stream, std::span<const std::uint8_t> payload,
+                       util::Pin pin);
 
 /// Append a HEADERS frame (+ CONTINUATIONs) carrying an encoded block.
 void append_headers_frame(std::vector<std::uint8_t>& out,
@@ -255,15 +265,27 @@ class FrameParser {
       : max_frame_size_(max_frame_size) {}
 
   /// The parse loop: hand each frame `bytes` completes to `handler`, in
-  /// order, DATA and header blocks by view. A frame wholly inside `bytes`
-  /// is parsed where it lies; only the bytes of a frame that spans chunks
-  /// (or a header block continued in CONTINUATIONs) are copied, once, into
-  /// the parser.
+  /// order, DATA and header blocks by view, each when its last byte
+  /// arrives. A frame wholly inside `bytes` is parsed where it lies. Of a
+  /// frame that spans chunks, the header and owned payload bytes are
+  /// copied, once, into the parser; a payload that arrives in borrowed
+  /// pieces, each continuing the last in the same body, is kept as a view
+  /// (with the body's pin) and never copied. A header block continued in
+  /// CONTINUATIONs is copied too.
   /// Returns the connection error that stopped parsing, if any (frames
   /// before it were handled; the stream is poisoned afterwards). The
   /// handler must not feed this parser.
-  std::optional<ParseError> parse(std::span<const std::uint8_t> bytes,
+  std::optional<ParseError> parse(util::WireBytes bytes,
                                   FrameHandler& handler);
+  /// parse() over owned bytes.
+  std::optional<ParseError> parse(std::span<const std::uint8_t> bytes,
+                                  FrameHandler& handler) {
+    return parse(util::WireBytes{bytes}, handler);
+  }
+
+  /// Bytes parse() has copied into the parser so far to reassemble frames
+  /// and header blocks that spanned chunks.
+  std::uint64_t copied_bytes() const noexcept { return copied_; }
 
   /// parse() collecting owning frames (views copied out), for tests and
   /// fuzzers: the frames completed by this chunk, or the connection error
@@ -283,9 +305,14 @@ class FrameParser {
   }
 
  private:
-  /// Parse one complete frame (header included) and hand it on.
-  std::optional<ParseError> dispatch(std::span<const std::uint8_t> frame,
+  /// Parse one complete frame and hand it on.
+  std::optional<ParseError> dispatch(std::span<const std::uint8_t> header,
+                                     std::span<const std::uint8_t> payload,
                                      FrameHandler& handler);
+  /// Add the bytes of `chunk` from `pos` on that belong to the frame begun
+  /// in buffer_ (or begin one); returns where they end.
+  std::size_t gather(util::WireBytes chunk, std::size_t pos);
+  void copy_in(std::span<const std::uint8_t> bytes);
   /// Hand on a HEADERS/PUSH_PROMISE block, or hold it for CONTINUATIONs.
   void begin_header_block(const HeaderBlockView& frame, std::uint8_t flags,
                           FrameHandler& handler);
@@ -293,7 +320,13 @@ class FrameParser {
   /// Record and return a connection error: parse() repeats it from now on.
   std::optional<ParseError> poison(ParseError error);
 
-  std::vector<std::uint8_t> buffer_;  // a frame begun in an earlier chunk
+  // A frame begun in an earlier chunk: its header and copied payload, or
+  // its header alone while the payload so far is view_, borrowed pieces
+  // of one body that view_pin_ keeps alive.
+  std::vector<std::uint8_t> buffer_;
+  std::span<const std::uint8_t> view_;
+  util::Pin view_pin_;
+  std::uint64_t copied_ = 0;
   std::optional<ParseError> error_;   // set once the stream is poisoned
   std::uint32_t max_frame_size_;
   std::size_t max_header_block_ = 1 << 20;

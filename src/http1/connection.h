@@ -74,6 +74,12 @@ class Outbox {
   std::size_t produce_into(std::vector<std::uint8_t>& out,
                            std::size_t max_bytes,
                            util::WriteCap = util::WriteCap::kHard);
+  /// The same into a WireOut: every byte is owned (H1 bodies are queued
+  /// as text).
+  std::size_t produce_into(util::WireOut& out, std::size_t max_bytes,
+                           util::WriteCap cap = util::WriteCap::kHard) {
+    return produce_into(out.owned(), max_bytes, cap);
+  }
 
  protected:
   void queue_bytes(std::string_view bytes) { queued_ += bytes; }

@@ -15,11 +15,15 @@ const char* side_name(TcpConnection::Side side) {
 /// Send buffers of finished connections, kept per thread and per sending
 /// side so the next connection starts at the capacity an earlier one grew
 /// to. Bounded in count and in total capacity: an idle pool holds at most
-/// kPoolBytes per side, and larger buffers are simply freed.
+/// kPoolBytes per side, and larger buffers are simply freed. With bodies
+/// borrowed, an H2 connection's owned bytes are frame headers and control
+/// frames, and its buffer stays within a few KB (6.2 KB at most over a
+/// `bench_fig2b_push_vs_nopush --quick` sweep); the byte bound only caps
+/// what owned-only writers (the HTTP/1.1 arm, send()) grow.
 class BufferPool {
  public:
   static constexpr std::size_t kPoolBuffers = 16;
-  static constexpr std::size_t kPoolBytes = 2u << 20;
+  static constexpr std::size_t kPoolBytes = 1u << 20;
 
   /// The largest pooled buffer (empty), or a fresh one.
   std::vector<std::uint8_t> acquire() {
@@ -55,6 +59,18 @@ BufferPool& buffer_pool(TcpConnection::Side side) {
 }
 
 }  // namespace
+
+TcpConnection::SendWriter::SendWriter(Half& h) noexcept
+    : util::WireOut(h.buffer), h_(h) {}
+
+bool TcpConnection::SendWriter::keep(std::span<const std::uint8_t> bytes,
+                                     util::Pin&& pin) {
+  if (bytes.empty()) return true;
+  const std::uint64_t owned_at = h_.owned_base + h_.buffer.size();
+  h_.extents.push_back(Extent{owned_at + borrowed(), owned_at, bytes.data(),
+                              bytes.size(), std::move(pin)});
+  return true;
+}
 
 TcpConnection::TcpConnection(Simulator& sim, TcpConfig config, Route up,
                              Route down, Callbacks callbacks)
@@ -143,7 +159,7 @@ void TcpConnection::send(Side side, std::span<const std::uint8_t> data) {
 void TcpConnection::commit(Side side, std::size_t appended) {
   Half& h = half(side);
   h.app_end += appended;
-  assert(h.buffer.size() == h.app_end - h.base_seq);
+  assert(h.owned_base + h.buffer.size() + h.writer.borrowed() == h.app_end);
   if (unsent_bytes(side) >= config_.write_watermark) h.writable_low = false;
   try_send(side);
 }
@@ -200,8 +216,7 @@ void TcpConnection::try_send(Side sender) {
 void TcpConnection::transmit_segment(Side sender, std::uint64_t seq,
                                      std::size_t len, bool is_retransmit) {
   Half& h = half(sender);
-  assert(seq >= h.base_seq);
-  assert(seq - h.base_seq + len <= h.buffer.size());
+  assert(seq >= h.snd_una && seq + len <= h.app_end);
   if (is_retransmit) {
     ++h.retransmissions;
     if (trace_) {
@@ -251,13 +266,49 @@ void TcpConnection::on_segment(Side sender, std::uint64_t seq,
   const auto count = static_cast<std::size_t>(h.rcv_nxt - from);
   h.delivered += count;
   send_ack(sender);
-  if (callbacks_.on_receive) {
-    // [from, rcv_nxt) is unacknowledged, so still in the sender's buffer.
-    assert(from >= h.base_seq);
-    const std::span<const std::uint8_t> buffered(h.buffer);
-    callbacks_.on_receive(
-        receiver_of(sender),
-        buffered.subspan(static_cast<std::size_t>(from - h.base_seq), count));
+  if (callbacks_.on_receive) deliver(sender, from, h.rcv_nxt);
+}
+
+std::size_t TcpConnection::owned_index(const Half& h, std::uint64_t seq,
+                                       std::size_t next) noexcept {
+  // Owned bytes before `seq` are seq less the borrowed bytes before it;
+  // the next extent (or, past the last, the writer's total) tells how
+  // many those are.
+  std::uint64_t owned;
+  if (next < h.extents.size()) {
+    const Extent& e = h.extents[next];
+    owned = e.seq > seq ? e.owned_at - (e.seq - seq) : e.owned_at;
+  } else {
+    owned = seq - h.writer.borrowed();
+  }
+  return static_cast<std::size_t>(owned - h.owned_base);
+}
+
+void TcpConnection::deliver(Side sender, std::uint64_t from,
+                            std::uint64_t to) {
+  // [from, to) is unacknowledged, so its owned bytes are still in the
+  // sender's buffer and its extents still pinned. The cursor only moves
+  // forward: deliveries are in order.
+  Half& h = half(sender);
+  const Side receiver = receiver_of(sender);
+  std::size_t& next = h.deliver_extent;
+  while (from < to) {
+    util::WireBytes run;
+    std::uint64_t end = to;
+    if (next < h.extents.size() && h.extents[next].seq <= from) {
+      const Extent& e = h.extents[next];
+      end = std::min(to, e.end());
+      run.bytes = {e.data + (from - e.seq),
+                   static_cast<std::size_t>(end - from)};
+      run.pin = &e.pin;
+      if (end == e.end()) ++next;
+    } else {
+      if (next < h.extents.size()) end = std::min(to, h.extents[next].seq);
+      run.bytes = std::span<const std::uint8_t>(h.buffer).subspan(
+          owned_index(h, from, next), static_cast<std::size_t>(end - from));
+    }
+    callbacks_.on_receive(receiver, run);
+    from = end;
   }
 }
 
@@ -354,23 +405,46 @@ void TcpConnection::on_ack(Side sender, std::uint64_t ack) {
 }
 
 void TcpConnection::compact(Half& h) {
-  // Drop the acknowledged prefix once it is at least as long as the live
-  // tail behind it (and at least kMinPrefix): the tail moved then costs no
-  // more bytes than the prefix dropped, so compaction moves at most as many
-  // bytes as were sent. Compacting as soon as that holds, rather than when
-  // the capacity runs out, keeps the buffer near twice the live bytes and
-  // its writes in the same cache-warm region, where a buffer refilled up
-  // to its (pooled) capacity streams every byte through cold memory. A
-  // fully acknowledged buffer is just emptied.
+  // Acknowledged extents release their pins. The released prefix of the
+  // extent array is dropped once it is empty behind them or at least half
+  // the array, so each extent is moved at most once on average.
+  static constexpr std::size_t kMinExtentPrefix = 64;
+  while (h.extent_head < h.extents.size() &&
+         h.extents[h.extent_head].end() <= h.snd_una) {
+    h.extents[h.extent_head++].pin.reset();
+  }
+  // Acknowledged bytes were delivered, so the delivery cursor is past
+  // them, unless there is no receiver to walk it.
+  h.deliver_extent = std::max(h.deliver_extent, h.extent_head);
+  if (h.extent_head == h.extents.size()) {
+    h.extents.clear();
+    h.extent_head = 0;
+    h.deliver_extent = 0;
+  } else if (h.extent_head >= kMinExtentPrefix &&
+             2 * h.extent_head >= h.extents.size()) {
+    h.extents.erase(h.extents.begin(),
+                    h.extents.begin() +
+                        static_cast<std::ptrdiff_t>(h.extent_head));
+    h.deliver_extent -= h.extent_head;
+    h.extent_head = 0;
+  }
+  // Drop the acknowledged owned prefix once it is at least as long as the
+  // live owned tail behind it (and at least kMinPrefix): the tail moved
+  // then costs no more bytes than the prefix dropped, so compaction moves
+  // at most as many bytes as were sent. Compacting as soon as that holds,
+  // rather than when the capacity runs out, keeps the buffer near twice
+  // the live bytes and its writes in the same cache-warm region, where a
+  // buffer refilled up to its (pooled) capacity streams every byte through
+  // cold memory. A fully acknowledged buffer is just emptied.
   static constexpr std::size_t kMinPrefix = 64 * 1024;
-  const auto acked = static_cast<std::size_t>(h.snd_una - h.base_seq);
+  const std::size_t acked = owned_index(h, h.snd_una, h.extent_head);
   const std::size_t live = h.buffer.size() - acked;
   if (acked == 0) return;
   if (live > 0 && (acked < live || acked < kMinPrefix)) return;
   h.buffer.erase(h.buffer.begin(),
                  h.buffer.begin() + static_cast<std::ptrdiff_t>(acked));
   h.compacted += live;
-  h.base_seq = h.snd_una;
+  h.owned_base += acked;
 }
 
 void TcpConnection::arm_rto(Side sender) {

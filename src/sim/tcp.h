@@ -22,12 +22,21 @@
 // acknowledged, and delivery never reaches below the receiver's rcv_nxt, so
 // every byte it hands over is still there.
 //
-// The send buffer is written in place: a writer appends to write_buffer()
-// and commit()s the count, so bytes land in the buffer once. Acknowledged
-// bytes are dropped by compaction as soon as they are at least as many as
-// the live (unacknowledged and unsent) ones behind them, and at least
-// 64 KB, so compaction moves at most as many bytes as were sent and the
-// buffer stays near twice the live bytes.
+// The send buffer holds owned bytes plus borrowed extents. A writer
+// appends through writer(side) (util::WireOut) and commit()s the count:
+// owned bytes (frame headers, control frames) land in the owned buffer
+// once; bytes of an immutable body handed over with append_borrowed()
+// become an extent {seq, len, pinned body} and are never copied. Delivery
+// walks the extents with a monotone cursor and hands the receiver one
+// util::WireBytes per run, flagged borrowed when it lies in a body. An
+// extent holds its pin until every byte of it is acknowledged, so a body
+// the application drops meanwhile stays alive; a receiver that keeps a
+// borrowed view past on_receive copies the pin.
+//
+// Acknowledged owned bytes are dropped by compaction as soon as they are
+// at least as many as the live (unacknowledged and unsent) owned ones
+// behind them, and at least 64 KB, so compaction moves at most as many
+// bytes as were sent and the buffer stays near twice the live bytes.
 // Buffers are recycled through a small, bounded per-thread pool: a
 // connection starts with the capacity an earlier one grew.
 #pragma once
@@ -40,6 +49,7 @@
 
 #include "sim/link.h"
 #include "sim/simulator.h"
+#include "util/wire.h"
 
 namespace h2push::sim {
 
@@ -65,10 +75,13 @@ class TcpConnection {
     std::function<void()> on_connected;
     /// Fires on the server half an RTT earlier (when its handshake ends).
     std::function<void()> on_accepted;
-    /// In-order application bytes arriving at `side`. The span points into
-    /// the sending side's retransmission buffer and is valid only for the
-    /// duration of the call: copy what must outlive it.
-    std::function<void(Side side, std::span<const std::uint8_t>)> on_receive;
+    /// In-order application bytes arriving at `side`, one run per call: a
+    /// delivery that crosses owned bytes and borrowed extents arrives as
+    /// several calls at the same instant. The bytes point into the sending
+    /// side's buffer or a pinned body and are valid only for the duration
+    /// of the call: copy what must outlive it (or, for borrowed bytes, the
+    /// pin). Converts to std::span, so a span-taking callback fits.
+    std::function<void(Side side, util::WireBytes)> on_receive;
     /// `side` may write again (unsent buffer below watermark).
     std::function<void(Side side)> on_writable;
   };
@@ -84,18 +97,18 @@ class TcpConnection {
   void connect();
 
   /// Queue application bytes for transmission from `side` (a copy into
-  /// the send buffer; write_buffer() + commit() skip it).
+  /// the send buffer; writer() + commit() skip it).
   void send(Side side, std::span<const std::uint8_t> data);
 
-  /// Append-in-place send path: append bytes to the end of this buffer,
-  /// then hand their count to commit(). Nothing else may change the
-  /// buffer, and the reference is only good until the next call into this
+  /// Append-in-place send path: append owned bytes to writer(side).owned()
+  /// and body bytes through writer(side).append_borrowed(), then hand the
+  /// total count to commit(). Nothing else may change the buffer, and the
+  /// reference to owned() is only good until the next call into this
   /// connection.
-  std::vector<std::uint8_t>& write_buffer(Side side) noexcept {
-    return half(side).buffer;
-  }
-  /// Queue the `appended` bytes just added to write_buffer(side). May fire
-  /// on_writable (and so re-enter the writer) before it returns.
+  util::WireOut& writer(Side side) noexcept { return half(side).writer; }
+  /// Queue the `appended` bytes (owned and borrowed) just added through
+  /// writer(side). May fire on_writable (and so re-enter the writer)
+  /// before it returns.
   void commit(Side side, std::size_t appended);
 
   bool connected() const noexcept { return connected_; }
@@ -110,7 +123,8 @@ class TcpConnection {
 
   std::uint64_t retransmissions() const noexcept;
   double cwnd_segments(Side sender) const noexcept;
-  /// Bytes `sender`'s buffer compaction has moved so far.
+  /// Bytes `sender`'s buffer compaction has moved so far (owned bytes
+  /// only: borrowed extents are never moved).
   std::uint64_t compacted_bytes(Side sender) const noexcept {
     return half(sender).compacted;
   }
@@ -123,14 +137,46 @@ class TcpConnection {
   }
 
  private:
+  struct Half;
+
+  /// Bytes of a pinned body in the send stream, in place of a copy.
+  struct Extent {
+    std::uint64_t seq = 0;       // sequence number of the first byte
+    std::uint64_t owned_at = 0;  // owned bytes appended before it
+    const std::uint8_t* data = nullptr;
+    std::size_t len = 0;
+    util::Pin pin;  // held until every byte is acknowledged
+
+    std::uint64_t end() const noexcept { return seq + len; }
+  };
+
+  /// writer(side): records borrowed bytes as an Extent of its half.
+  class SendWriter final : public util::WireOut {
+   public:
+    explicit SendWriter(Half& h) noexcept;
+
+   private:
+    bool keep(std::span<const std::uint8_t> bytes, util::Pin&& pin) override;
+    Half& h_;
+  };
+
   // One direction of application data flow.
   struct Half {
     Route data_route;   // carries data segments
     Route ack_route;    // carries ACKs back to the sender
     // --- sender state ---
-    std::vector<std::uint8_t> buffer;  // bytes [base_seq, app_end)
-    std::uint64_t compacted = 0;       // bytes moved by compaction
-    std::uint64_t base_seq = 0;
+    // The stream [snd_una, app_end) interleaves owned bytes with borrowed
+    // extents. Owned byte k (counting every owned byte ever appended) is
+    // buffer[k - owned_base].
+    std::vector<std::uint8_t> buffer;
+    std::uint64_t owned_base = 0;
+    std::uint64_t compacted = 0;  // owned bytes moved by compaction
+    // Extents not yet fully acknowledged are [extent_head, size()), in
+    // sequence order; deliver_extent is the first ending past rcv_nxt.
+    std::vector<Extent> extents;
+    std::size_t extent_head = 0;
+    std::size_t deliver_extent = 0;
+    SendWriter writer{*this};
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
     std::uint64_t app_end = 0;
@@ -172,8 +218,14 @@ class TcpConnection {
   void transmit_segment(Side sender, std::uint64_t seq, std::size_t len,
                         bool is_retransmit);
   void on_segment(Side sender, std::uint64_t seq, std::size_t len);
+  /// Hand [from, to) of `sender`'s stream to the receiver, a run at a time.
+  void deliver(Side sender, std::uint64_t from, std::uint64_t to);
   void send_ack(Side data_sender);
   void on_ack(Side sender, std::uint64_t ack);
+  /// Index into h.buffer of the owned byte at or after stream offset `seq`,
+  /// where `next` is the first extent ending past `seq`.
+  static std::size_t owned_index(const Half& h, std::uint64_t seq,
+                                 std::size_t next) noexcept;
   void compact(Half& h);
   void arm_rto(Side sender);
   void on_rto(Side sender);

@@ -4,16 +4,20 @@
 //
 // A source has
 //   bool want_write() const;
-//   std::size_t produce_into(std::vector<std::uint8_t>& out,
-//                            std::size_t max_bytes, WriteCap cap);
+//   std::size_t produce_into(Out& out, std::size_t max_bytes, WriteCap cap);
 // (h2::Connection, http1::ClientConnection, http1::ServerConnection), which
-// appends at most ~max_bytes to `out` and returns the count appended.
+// appends at most ~max_bytes to `out` and returns the count appended. `Out`
+// is a std::vector<std::uint8_t> or a util::WireOut (util/wire.h), which
+// can take body bytes by reference.
 //
 // A sink has
 //   static constexpr WriteCap kCap;         // how the budget may be used
 //   std::size_t budget();                   // bytes it takes now; 0 = full
-//   std::vector<std::uint8_t>& buffer();    // where the source appends
-//   void commit(std::span<const std::uint8_t> bytes);  // hand them over
+//   Out& buffer();                          // where the source appends
+// and, to hand the bytes over, for a vector buffer
+//   void commit(std::span<const std::uint8_t> bytes);
+// or, for a WireOut buffer (whose borrowed bytes are not one span),
+//   void commit(std::size_t appended);
 //
 // The sink, not a setting, picks the cap policy: the simulator's TCP sides
 // take a soft cap (the figures depend on its one-frame overshoot), a live
@@ -25,6 +29,8 @@
 #include <span>
 #include <type_traits>
 #include <vector>
+
+#include "util/wire.h"
 
 namespace h2push::util {
 
@@ -44,19 +50,25 @@ enum class WriteCap : std::uint8_t {
 /// bytes it is handed are not read again once it returns, so a sink may
 /// hand out one reused buffer as long as `commit` consumes the bytes
 /// before anything that can re-enter — or hand out the transport's own
-/// send buffer, so the source appends straight into it and `commit` only
-/// takes the count (the simulator's server side does).
+/// send buffer as a WireOut, so the source appends straight into it (body
+/// bytes by reference) and `commit` only takes the count (the simulator's
+/// server side does).
 template <class Source, class Sink>
 void pump(Source& source, Sink&& sink) {
   while (source.want_write()) {
     const std::size_t budget = sink.budget();
     if (budget == 0) return;
-    std::vector<std::uint8_t>& out = sink.buffer();
-    const std::size_t start = out.size();
-    if (source.produce_into(out, budget, std::decay_t<Sink>::kCap) == 0) {
-      return;
+    constexpr WriteCap cap = std::decay_t<Sink>::kCap;
+    auto& out = sink.buffer();
+    if constexpr (std::is_base_of_v<WireOut, std::decay_t<decltype(out)>>) {
+      const std::size_t appended = source.produce_into(out, budget, cap);
+      if (appended == 0) return;
+      sink.commit(appended);
+    } else {
+      const std::size_t start = out.size();
+      if (source.produce_into(out, budget, cap) == 0) return;
+      sink.commit(std::span<const std::uint8_t>(out).subspan(start));
     }
-    sink.commit(std::span<const std::uint8_t>(out).subspan(start));
   }
 }
 

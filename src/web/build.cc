@@ -1,6 +1,7 @@
 // Site synthesis: turn a PagePlan into real HTML/CSS bytes + a record store.
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <sstream>
 
 #include "util/rng.h"
@@ -30,14 +31,29 @@ std::string filler_text(std::size_t bytes, util::Rng& rng) {
   return out;
 }
 
-/// Pseudo-binary filler for images/fonts/JS bodies.
+/// Append pseudo-binary filler for images/fonts/JS bodies: the 64-byte
+/// pattern repeated while it fits whole, then `tag` up to `bytes`. The
+/// repeats are filled by doubling copies of what is already written.
+void append_filler_blob(std::string& out, std::size_t bytes, char tag) {
+  static constexpr char kPattern[] =
+      "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/";
+  constexpr std::size_t kPatternBytes = sizeof(kPattern) - 1;
+  const std::size_t whole = bytes / kPatternBytes * kPatternBytes;
+  const std::size_t start = out.size();
+  out.append(bytes, tag);
+  if (whole == 0) return;
+  char* blob = out.data() + start;
+  std::memcpy(blob, kPattern, kPatternBytes);
+  for (std::size_t done = kPatternBytes; done < whole;) {
+    const std::size_t n = std::min(done, whole - done);
+    std::memcpy(blob + done, blob, n);
+    done += n;
+  }
+}
+
 std::string filler_blob(std::size_t bytes, char tag) {
   std::string out;
-  out.reserve(bytes);
-  static const char pattern[] =
-      "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ+/";
-  while (out.size() + 64 <= bytes) out.append(pattern, 64);
-  out.append(bytes - out.size(), tag);
+  append_filler_blob(out, bytes, tag);
   return out;
 }
 
@@ -130,7 +146,7 @@ std::string build_css(const PagePlan& plan, const ResourcePlan& css,
   body += pad.str();
   if (body.size() + 4 < css.size) {
     body += "/*";
-    body += filler_blob(css.size - body.size() - 2, '*');
+    append_filler_blob(body, css.size - body.size() - 2, '*');
     body += "*/";
   }
   return body;
@@ -372,7 +388,9 @@ Site build_site(PagePlan plan,
         body = build_css(plan, r, rng);
         break;
       case ResourceType::kJs:
-        body = "/*js*/" + filler_blob(r.size > 6 ? r.size - 6 : 0, 'J');
+        body.reserve(std::max<std::size_t>(r.size, 6));
+        body = "/*js*/";
+        append_filler_blob(body, r.size > 6 ? r.size - 6 : 0, 'J');
         break;
       case ResourceType::kImage:
         body = filler_blob(r.size, 'I');

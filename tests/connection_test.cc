@@ -485,6 +485,145 @@ TEST(Connection, SoftCapDeliversSameBodyAsHardCap) {
   }
 }
 
+// --- produce_into through a util::WireOut: DATA payloads by reference ---
+
+namespace {
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Three responses of different sizes queued on one server, as a page's
+/// objects are, so the scheduler interleaves their DATA frames (all
+/// within the default flow-control windows).
+struct ThreeResponses {
+  Pair p;
+  std::vector<std::pair<std::uint32_t, std::size_t>> streams;
+
+  ThreeResponses() {
+    const std::pair<const char*, std::size_t> objects[] = {
+        {"/a", 30000}, {"/b", 1234}, {"/c", 20000}};
+    for (const auto& [path, size] : objects) {
+      streams.emplace_back(p.get(path), size);
+    }
+    p.pump();
+    for (const auto& [id, size] : streams) {
+      http::Response resp;
+      resp.status = 200;
+      resp.body_size = size;
+      p.server->submit_response(
+          id, resp.to_h2_headers(),
+          std::make_shared<const std::string>(patterned(size)));
+    }
+  }
+
+  /// Feed the server's `wire` to the client; every body must arrive.
+  void expect_bodies(std::span<const std::uint8_t> wire) {
+    p.client->receive(wire);
+    for (const auto& [id, size] : streams) {
+      EXPECT_EQ(p.body(id), patterned(size)) << "stream " << id;
+    }
+  }
+};
+
+/// The server's whole wire under produce_into(vector, cap, policy).
+std::vector<std::uint8_t> vector_wire(std::size_t cap,
+                                      util::WriteCap policy) {
+  ThreeResponses r;
+  std::vector<std::uint8_t> wire;
+  while (r.p.server->want_write() &&
+         r.p.server->produce_into(wire, cap, policy) > 0) {
+  }
+  EXPECT_FALSE(r.p.server->want_write());
+  r.expect_bodies(wire);
+  return wire;
+}
+
+struct OwnedBytes {
+  std::vector<std::uint8_t> owned_bytes;
+};
+
+/// A sink that keeps body bytes by reference, as the simulator's TCP send
+/// buffer does, each run pinned to its body.
+class ReferencingOut final : private OwnedBytes, public util::WireOut {
+ public:
+  ReferencingOut() : util::WireOut(owned_bytes) {}
+
+  /// The byte stream: the owned bytes with every kept run spliced in
+  /// where it was appended.
+  std::vector<std::uint8_t> stream() const {
+    std::vector<std::uint8_t> out;
+    std::size_t from = 0;
+    for (const Run& run : runs_) {
+      out.insert(out.end(), owned_bytes.begin() + from,
+                 owned_bytes.begin() + run.at);
+      out.insert(out.end(), run.bytes.begin(), run.bytes.end());
+      from = run.at;
+    }
+    out.insert(out.end(), owned_bytes.begin() + from,
+               owned_bytes.end());
+    return out;
+  }
+
+ private:
+  struct Run {
+    std::ptrdiff_t at;  // owned bytes appended before it
+    std::span<const std::uint8_t> bytes;
+    util::Pin pin;
+  };
+  bool keep(std::span<const std::uint8_t> bytes, util::Pin&& pin) override {
+    runs_.push_back(
+        {static_cast<std::ptrdiff_t>(owned_bytes.size()), bytes,
+         std::move(pin)});
+    return true;
+  }
+  std::vector<Run> runs_;
+};
+}  // namespace
+
+// The vector overload copies every payload into the vector, so its wire is
+// byte for byte the one the copying emitter wrote before payloads could
+// travel by reference: these digests were recorded from it, for the
+// simulator's soft cap, a live socket's hard cap and produce().
+TEST(Connection, VectorSinkWireIsUnchanged) {
+  EXPECT_EQ(fnv1a(vector_wire(2 * 1460, util::WriteCap::kSoft)),
+            0x903e349df38b7966ULL);
+  EXPECT_EQ(fnv1a(vector_wire(1000, util::WriteCap::kHard)),
+            0xc6b11b05806f314bULL);
+  // Whole 16 KB frames either way: the soft cap's stream is produce()'s.
+  ThreeResponses r;
+  const auto whole = r.p.server->produce(std::size_t{1} << 22);
+  r.expect_bodies(whole);
+  EXPECT_EQ(fnv1a(whole), 0x903e349df38b7966ULL);
+}
+
+// Through a sink that keeps references, the same calls emit the same
+// stream and report the same counts, but only frame headers and control
+// frames are owned: every DATA payload is a run kept by reference.
+TEST(Connection, ReferencingSinkEmitsTheSameStream) {
+  for (const auto& [cap, policy] :
+       {std::pair{std::size_t{2 * 1460}, util::WriteCap::kSoft},
+        std::pair{std::size_t{1000}, util::WriteCap::kHard}}) {
+    ThreeResponses r;
+    ReferencingOut out;
+    std::size_t appended = 0;
+    while (r.p.server->want_write()) {
+      const std::size_t n = r.p.server->produce_into(out, cap, policy);
+      if (n == 0) break;
+      appended += n;
+    }
+    const auto stream = out.stream();
+    EXPECT_EQ(appended, stream.size());
+    EXPECT_EQ(stream, vector_wire(cap, policy));
+    EXPECT_LT(out.owned().size() * 20, stream.size());
+    r.expect_bodies(stream);
+  }
+}
+
 TEST(Connection, ProduceIntoInterleavedWithReceiveStaysConsistent) {
   // Alternate small produce_into drains with client receive/acks so flow
   // control windows refill mid-drain; invariants must hold throughout.

@@ -302,6 +302,43 @@ TEST(Testbed, WarmPageLoadStaysWithinAllocationBudget) {
   EXPECT_LE(allocations, kBudget);
 }
 
+// Response bodies travel from the replay store to the browser by
+// reference: the TCP send buffer keeps each DATA payload as an extent of
+// its body, and the client's frame parser keeps a payload split across
+// deliveries as a view. So neither compaction nor frame reassembly moves
+// a body byte: over a load that receives a 1.5 MB body, pushed or
+// requested, both move only frame headers and control frames.
+TEST(Testbed, BodyBytesAreNeitherCompactedNorReassembled) {
+  constexpr std::size_t kBig = 1536 * 1024;
+  web::PagePlan plan;
+  plan.name = "big-body";
+  plan.primary_host = "www.big.test";
+  plan.host_ip[plan.primary_host] = "10.0.0.1";
+  web::ResourcePlan image;
+  image.path = "/big.png";
+  image.host = plan.primary_host;
+  image.type = http::ResourceType::kImage;
+  image.size = kBig;
+  image.placement = web::ResourcePlan::Placement::kBodyEarly;
+  image.above_fold = true;
+  plan.resources.push_back(image);
+  const auto site = web::build_site(plan);
+  for (const auto& strategy :
+       {no_push(), push_list("push-big", {"https://www.big.test/big.png"})}) {
+    SCOPED_TRACE(strategy.name);
+    WireCounts wire;
+    RunConfig cfg;
+    cfg.wire = &wire;
+    const auto result = run_page_load(site, strategy, cfg);
+    ASSERT_TRUE(result.complete);
+    ASSERT_GE(result.bytes_total, kBig);
+    // A DATA frame carries up to 16 KB behind a 9-byte header: the
+    // headers of all the load's frames come to well under 1 % of it.
+    EXPECT_LT(wire.compacted, result.bytes_total / 100);
+    EXPECT_LT(wire.parser_copied, result.bytes_total / 100);
+  }
+}
+
 TEST(Testbed, MetricSeriesSummaries) {
   const auto site = fixture_site();
   RunConfig cfg;

@@ -198,6 +198,73 @@ TEST(FrameParser, ParseViewsDataInPlaceAndCopiesOnlySplitFrames) {
       << "a split frame must come from the parser's own buffer";
 }
 
+// A DATA payload that arrives as borrowed runs (util/wire.h), each
+// continuing the last in one body, is handed on as a view into the body,
+// and the parser copies only the frame header. An owned run, or a
+// borrowed one that does not continue the view, makes the parser copy the
+// payload so far and go on copying. Either way the frame is the same and
+// is handed on when its last byte arrives.
+TEST(FrameParser, BorrowedPayloadStaysAViewUntilARunBreaksIt) {
+  struct Payloads final : FrameHandler {
+    std::vector<std::span<const std::uint8_t>> views;
+    std::vector<std::vector<std::uint8_t>> bytes;
+    void on_data(const DataView& f) override {
+      views.push_back(f.data);
+      bytes.emplace_back(f.data.begin(), f.data.end());
+    }
+    void on_header_block(const HeaderBlockView&) override {}
+    void on_frame(Frame&&) override {}
+  };
+  std::vector<std::uint8_t> pattern(4000);
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = static_cast<std::uint8_t>(i % 251);
+  }
+  const auto body = std::make_shared<const std::vector<std::uint8_t>>(pattern);
+  const auto other = std::make_shared<const std::vector<std::uint8_t>>(pattern);
+  const util::Pin body_pin = body;
+  const util::Pin other_pin = other;
+  std::vector<std::uint8_t> header;
+  append_data_frame(header, 5, true, pattern);
+  header.resize(9);
+  const std::span<const std::uint8_t> b(*body);
+  const std::span<const std::uint8_t> o(*other);
+  const std::span<const std::uint8_t> owned(pattern);
+  const util::WireBytes head1{std::span(header).first(5)};
+  const util::WireBytes head2{std::span(header).subspan(5)};
+  struct Case {
+    const char* name;
+    std::vector<util::WireBytes> runs;
+    bool viewed;
+  };
+  const Case cases[] = {
+      {"borrowed and contiguous",
+       {head1, head2, {b.subspan(0, 1000), &body_pin},
+        {b.subspan(1000, 1000), &body_pin}, {b.subspan(2000), &body_pin}},
+       true},
+      {"an owned run",
+       {head1, head2, {b.subspan(0, 1000), &body_pin},
+        {owned.subspan(1000, 1000)}, {b.subspan(2000), &body_pin}},
+       false},
+      {"a run from another body",
+       {head1, head2, {b.subspan(0, 1000), &body_pin},
+        {o.subspan(1000, 1000), &other_pin}, {b.subspan(2000), &body_pin}},
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    FrameParser parser;
+    Payloads payloads;
+    for (const util::WireBytes& run : c.runs) {
+      EXPECT_TRUE(payloads.views.empty()) << "handed on before its last byte";
+      ASSERT_FALSE(parser.parse(run, payloads));
+    }
+    ASSERT_EQ(payloads.bytes.size(), 1u);
+    EXPECT_EQ(payloads.bytes[0], pattern);
+    EXPECT_EQ(payloads.views[0].data() == body->data(), c.viewed);
+    EXPECT_EQ(parser.copied_bytes(), c.viewed ? 9u : 9u + pattern.size());
+  }
+}
+
 TEST(FrameParser, RejectsOversizedFrame) {
   FrameParser parser(16384);
   std::vector<std::uint8_t> wire{0x01, 0x00, 0x00,  // 65536

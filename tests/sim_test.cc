@@ -321,6 +321,7 @@ struct TcpHarness {
   Link down, up;
   std::unique_ptr<TcpConnection> tcp;
   std::size_t client_received = 0;
+  std::size_t client_borrowed = 0;  // of client_received, in borrowed runs
   std::size_t server_received = 0;
   bool mismatch = false;
   Time connected_at = -1;
@@ -346,9 +347,10 @@ struct TcpHarness {
     TcpConnection::Callbacks cb;
     cb.on_connected = [this] { connected_at = sim.now(); };
     cb.on_accepted = [this] { accepted_at = sim.now(); };
-    cb.on_receive = [this](TcpConnection::Side side,
-                           std::span<const std::uint8_t> data) {
+    cb.on_receive = [this](TcpConnection::Side side, util::WireBytes run) {
+      const std::span<const std::uint8_t> data = run;
       if (side == TcpConnection::Side::kClient) {
+        if (run.borrowed()) client_borrowed += data.size();
         for (const auto byte : data) {
           if (byte != static_cast<std::uint8_t>(client_received % 251)) {
             mismatch = true;
@@ -378,7 +380,7 @@ struct TcpHarness {
   void write_more() {
     constexpr auto kServer = TcpConnection::Side::kServer;
     while (stream_written < stream_target && tcp->writable(kServer)) {
-      std::vector<std::uint8_t>& buffer = tcp->write_buffer(kServer);
+      std::vector<std::uint8_t>& buffer = tcp->writer(kServer).owned();
       const std::size_t n =
           std::min(stream_chunk, stream_target - stream_written);
       for (std::size_t i = 0; i < n; ++i) {
@@ -565,6 +567,61 @@ TEST(Tcp, CompactionMovesAtMostTheBytesSent) {
   ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
 }
 
+// Body bytes appended with append_borrowed() travel as extents of the send
+// buffer, each pinning its body until acknowledged. Here the only outside
+// reference to the body is dropped as soon as its bytes are queued, and
+// under loss the sender re-reads them for retransmissions: the receiver
+// still gets the stream intact, the body's bytes in borrowed runs, and
+// compaction moves only owned bytes. Under AddressSanitizer a read of a
+// freed body fails the test.
+class TcpBorrowedBody : public ::testing::TestWithParam<double> {};
+
+TEST_P(TcpBorrowedBody, DroppedBodyArrivesIntact) {
+  constexpr std::size_t kTotal = 3u << 20;
+  constexpr std::size_t kHeader = 9;
+  constexpr std::size_t kPayload = 16 * 1024;
+  TcpHarness h(/*loss=*/GetParam(), /*seed=*/7, /*queue=*/64 * 1024);
+  h.tcp->connect();
+  h.sim.run(from_seconds(60));
+  ASSERT_GE(h.connected_at, 0) << "handshake never completed";
+  // One body holding the whole stream's pattern. Frame-like: 9 owned
+  // bytes copied out of it, then 16 KB of it by reference, repeated.
+  std::string text(kTotal, '\0');
+  for (std::size_t i = 0; i < kTotal; ++i) {
+    text[i] = static_cast<char>(i % 251);
+  }
+  auto body = std::make_shared<const std::string>(std::move(text));
+  const std::weak_ptr<const std::string> watch = body;
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(body->data());
+  constexpr auto kServer = TcpConnection::Side::kServer;
+  util::WireOut& out = h.tcp->writer(kServer);
+  std::size_t owned = 0;
+  for (std::size_t at = 0; at < kTotal;) {
+    const std::size_t header = std::min(kHeader, kTotal - at);
+    out.owned().insert(out.owned().end(), bytes + at, bytes + at + header);
+    owned += header;
+    at += header;
+    const std::size_t payload = std::min(kPayload, kTotal - at);
+    out.append_borrowed({bytes + at, payload}, body);
+    at += payload;
+  }
+  body.reset();
+  h.tcp->commit(kServer, kTotal);
+  EXPECT_FALSE(watch.expired()) << "in-flight extents must pin the body";
+  h.sim.run(from_seconds(600));
+  EXPECT_EQ(h.client_received, kTotal);
+  EXPECT_EQ(h.client_borrowed, kTotal - owned);
+  EXPECT_FALSE(h.mismatch);
+  EXPECT_TRUE(watch.expired()) << "acknowledged extents must unpin";
+  EXPECT_LE(h.tcp->compacted_bytes(kServer), owned);
+  if (GetParam() > 0) {
+    EXPECT_GT(h.tcp->retransmissions(), 0u);
+  }
+  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+}
+
+INSTANTIATE_TEST_SUITE_P(Loss, TcpBorrowedBody, ::testing::Values(0.0, 0.02));
+
 // Send buffers go back to a per-thread pool: a second connection moving the
 // same traffic starts with the capacity the first one grew, and never
 // regrows it. (A fresh thread starts with an empty pool.)
@@ -575,7 +632,7 @@ TEST(Tcp, SecondConnectionReusesPooledBuffer) {
   std::size_t second_end = 0;
   std::thread([&] {
     const auto capacity = [](TcpHarness& h) {
-      return h.tcp->write_buffer(TcpConnection::Side::kServer).capacity();
+      return h.tcp->writer(TcpConnection::Side::kServer).owned().capacity();
     };
     {
       TcpHarness first;
