@@ -68,13 +68,14 @@ for workload in sweep-fig2b sweep-nopush; do
 done
 echo "8 sweep digests match"
 
-echo "=== fig-level goldens: interleaving, critical CSS, hints, digests (build/) ==="
-# The digests above only cover the parent-first scheduler. These four
-# benches also run the interleaving hard switch, critical-CSS rewriting,
-# preload hints and cache digests; their stdout, less the wall-clock
-# 'elapsed:' and 'report:' lines, must match tests/golden/<name>.txt.
+echo "=== fig-level goldens: interleaving, critical CSS, hints, digests, H1 (build/) ==="
+# The digests above only cover the parent-first scheduler over HTTP/2.
+# These benches also run the interleaving hard switch, critical-CSS
+# rewriting, preload hints, cache digests and the HTTP/1.1 arm
+# (bench_h1_baseline); their stdout, less the wall-clock 'elapsed:' and
+# 'report:' lines, must match tests/golden/<name>.txt.
 golden_benches=(bench_fig5_interleaving bench_ablation_scheduling
-  bench_fig4_custom_strategies bench_ext_cache_digest)
+  bench_fig4_custom_strategies bench_ext_cache_digest bench_h1_baseline)
 cmake --build build -j "$jobs" --target "${golden_benches[@]}" >/dev/null
 golden_dir=$(mktemp -d)
 trap 'rm -rf "$cache_dir" "$golden_dir"' EXIT

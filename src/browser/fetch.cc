@@ -205,7 +205,7 @@ std::uint64_t FetchManager::parser_copied_bytes() const {
 
 void FetchManager::pump(Group& g) {
   if (!g.connected || !g.transport) return;
-  util::pump(*g.conn, util::StagedSink{*g.transport, staging_});
+  util::pump(*g.conn, *g.transport);
 }
 
 void FetchManager::trace_fetch_begin(Fetch& fetch) {
@@ -299,7 +299,7 @@ void FetchManager::handle_response_headers(
 
 void FetchManager::h1_pump(H1Conn& c) {
   if (!c.connected || !c.transport) return;
-  util::pump(*c.conn, util::StagedSink{*c.transport, staging_});
+  util::pump(*c.conn, *c.transport);
 }
 
 void FetchManager::h1_dispatch(Group& g) {

@@ -28,21 +28,29 @@
 #include "http/message.h"
 #include "replay/origin.h"
 #include "sim/simulator.h"
+#include "util/pump.h"
 #include "util/rng.h"
 #include "util/wire.h"
 
 namespace h2push::browser {
 
 /// Transport endpoint provided by the testbed (a TCP connection to the
-/// right replay server).
+/// right replay server), and the sink the connection on it pumps into
+/// (util/pump.h).
 class ClientTransport {
  public:
   virtual ~ClientTransport() = default;
   virtual void connect(std::function<void()> on_connected) = 0;
-  virtual void send(std::span<const std::uint8_t> bytes) = 0;
-  virtual bool writable() const = 0;
-  /// Preferred write granularity (the TCP watermark).
-  virtual std::size_t write_chunk() const = 0;
+
+  // --- pump sink (util/pump.h) ---
+  /// Soft cap, as on the server's end: the simulator's figures were
+  /// recorded with its one-frame overshoot.
+  static constexpr util::WriteCap kCap = util::WriteCap::kSoft;
+  virtual std::size_t budget() const = 0;
+  /// The transport's own send buffer: requests are written in place.
+  virtual util::WireOut& buffer() = 0;
+  virtual void commit(std::size_t appended) = 0;
+
   /// Received bytes, a run at a time (borrowed runs lie in a pinned
   /// response body, util/wire.h).
   virtual void set_receiver(
@@ -201,8 +209,6 @@ class FetchManager {
   std::uint64_t pushed_bytes_ = 0;
   std::uint64_t total_bytes_ = 0;
   std::size_t pushes_cancelled_ = 0;
-  /// Produce buffer reused by every connection's pump (util/pump.h).
-  std::vector<std::uint8_t> staging_;
   http::HeaderBlock h2_request_;  // see h2_request_headers()
 };
 

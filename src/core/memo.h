@@ -120,7 +120,6 @@ class RunCache {
 
   RunCacheStats stats() const;
   const std::string& dir() const noexcept { return config_.dir; }
-  CacheVerify verify_mode() const noexcept { return config_.verify; }
 
   /// Canonical binary serialization of a LoadResult — the persistent
   /// payload format, and the byte-identity relation verify mode asserts.

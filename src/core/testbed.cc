@@ -18,6 +18,24 @@ namespace {
 
 using sim::TcpConnection;
 
+/// One end of a simulated TCP session as a pump sink (util/pump.h): the
+/// source appends straight into that side's send buffer, frame headers as
+/// owned bytes and DATA payloads as references into their bodies, so no
+/// body byte is copied on the way to the wire. It takes a chunk while the
+/// side is below the TCP watermark, under the soft cap the simulator's
+/// figures were recorded with.
+struct TcpSink {
+  static constexpr util::WriteCap kCap = util::WriteCap::kSoft;
+  static constexpr std::size_t kWriteChunk = 2 * 1460;  // the watermark
+
+  TcpConnection& tcp;
+  TcpConnection::Side side;
+
+  std::size_t budget() const { return tcp.writable(side) ? kWriteChunk : 0; }
+  util::WireOut& buffer() { return tcp.writer(side); }
+  void commit(std::size_t appended) { tcp.commit(side, appended); }
+};
+
 /// One client↔server TCP session: the browser-facing ClientTransport plus
 /// the server-side endpoint it terminates at — a ReplayServer (H2) or an
 /// H1ReplayServer (the HTTP/1.1 baseline arm).
@@ -74,13 +92,11 @@ class SimTransport final : public browser::ClientTransport {
       tcp_->connect();
     }
   }
-  void send(std::span<const std::uint8_t> bytes) override {
-    tcp_->send(TcpConnection::Side::kClient, bytes);
+  std::size_t budget() const override { return client_sink().budget(); }
+  util::WireOut& buffer() override { return client_sink().buffer(); }
+  void commit(std::size_t appended) override {
+    client_sink().commit(appended);
   }
-  bool writable() const override {
-    return tcp_->writable(TcpConnection::Side::kClient);
-  }
-  std::size_t write_chunk() const override { return kWriteChunk; }
   void set_receiver(std::function<void(util::WireBytes)> receiver) override {
     receiver_ = std::move(receiver);
   }
@@ -95,28 +111,13 @@ class SimTransport final : public browser::ClientTransport {
   Server& server() { return server_; }
 
  private:
-  static constexpr std::size_t kWriteChunk = 2 * 1460;  // the TCP watermark
-
-  /// The server's end of the session as its pump's sink: the connection
-  /// appends straight into the TCP send buffer, frame headers as owned
-  /// bytes and DATA payloads as references into their bodies, so no body
-  /// byte is copied on the way to the wire. Soft cap, like the client side
-  /// (util/pump.h).
-  struct ServerSink {
-    static constexpr util::WriteCap kCap = util::WriteCap::kSoft;
-    TcpConnection& tcp;
-    std::size_t budget() const {
-      return tcp.writable(TcpConnection::Side::kServer) ? kWriteChunk : 0;
-    }
-    util::WireOut& buffer() {
-      return tcp.writer(TcpConnection::Side::kServer);
-    }
-    void commit(std::size_t appended) {
-      tcp.commit(TcpConnection::Side::kServer, appended);
-    }
-  };
-
-  void pump_server() { util::pump(server_.connection(), ServerSink{*tcp_}); }
+  TcpSink client_sink() const {
+    return {*tcp_, TcpConnection::Side::kClient};
+  }
+  void pump_server() {
+    util::pump(server_.connection(),
+               TcpSink{*tcp_, TcpConnection::Side::kServer});
+  }
 
   sim::Simulator& sim_;
   Server server_;
@@ -357,9 +358,6 @@ double MetricSeries::si_median() const {
 }
 double MetricSeries::plt_std_error() const {
   return stats::std_error(plt_ms);
-}
-double MetricSeries::si_std_error() const {
-  return stats::std_error(speed_index_ms);
 }
 
 }  // namespace h2push::core

@@ -88,7 +88,6 @@ struct MetricSeries {
   double plt_median() const;
   double si_median() const;
   double plt_std_error() const;
-  double si_std_error() const;
 };
 
 MetricSeries collect(const std::vector<browser::PageLoadResult>& results);

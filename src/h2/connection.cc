@@ -765,11 +765,6 @@ std::uint64_t Connection::data_bytes_sent(std::uint32_t stream) const {
   return it == streams_.end() ? 0 : it->second.data_sent;
 }
 
-std::int64_t Connection::stream_send_window(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it == streams_.end() ? 0 : it->second.send_window;
-}
-
 bool Connection::stream_send_finished(std::uint32_t stream) const {
   auto it = streams_.find(stream);
   return it != streams_.end() && it->second.end_queued;

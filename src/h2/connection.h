@@ -151,7 +151,8 @@ class Connection : private FrameHandler {
   /// copy; the returned count includes them.
   std::size_t produce_into(util::WireOut& out, std::size_t max_bytes,
                            util::WriteCap cap = util::WriteCap::kHard);
-  /// produce_into, every byte copied into `out`.
+  /// produce_into, every byte copied into `out` (outside the pump: for
+  /// h2bench and tests).
   std::size_t produce_into(std::vector<std::uint8_t>& out,
                            std::size_t max_bytes,
                            util::WriteCap cap = util::WriteCap::kHard) {
@@ -179,10 +180,6 @@ class Connection : private FrameHandler {
   StreamState stream_state(std::uint32_t stream) const;
   std::uint64_t data_bytes_sent(std::uint32_t stream) const;
   std::uint64_t total_data_sent() const noexcept { return total_data_sent_; }
-  std::int64_t connection_send_window() const noexcept {
-    return send_window_;
-  }
-  std::int64_t stream_send_window(std::uint32_t stream) const;
   bool stream_send_finished(std::uint32_t stream) const;
   const std::string& last_error() const noexcept { return last_error_; }
   /// Error code of the GOAWAY we sent (kNoError while healthy).

@@ -515,7 +515,7 @@ std::optional<ParseError> FrameParser::dispatch(
       if (stream_id != pending_.stream_id) {
         return parse_error(ErrorCode::kProtocolError, "CONTINUATION: wrong stream");
       }
-      if (pending_block_.size() + payload.size() > max_header_block_) {
+      if (pending_block_.size() + payload.size() > kMaxHeaderBlock) {
         return parse_error(ErrorCode::kEnhanceYourCalm,
                            "header block exceeds reassembly cap");
       }

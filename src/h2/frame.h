@@ -293,18 +293,12 @@ class FrameParser {
   util::Expected<std::vector<Frame>, ParseError> feed(
       std::span<const std::uint8_t> bytes);
 
-  void set_max_frame_size(std::uint32_t size) noexcept {
-    max_frame_size_ = size;
-  }
-
+ private:
   /// Cap on a reassembled (post-CONTINUATION) header block. An adversarial
   /// peer can otherwise grow the pending block without bound — the
   /// SETTINGS_MAX_HEADER_LIST_SIZE limit is advisory, this one is not.
-  void set_max_header_block(std::size_t bytes) noexcept {
-    max_header_block_ = bytes;
-  }
+  static constexpr std::size_t kMaxHeaderBlock = 1 << 20;
 
- private:
   /// Parse one complete frame and hand it on.
   std::optional<ParseError> dispatch(std::span<const std::uint8_t> header,
                                      std::span<const std::uint8_t> payload,
@@ -329,7 +323,6 @@ class FrameParser {
   std::uint64_t copied_ = 0;
   std::optional<ParseError> error_;   // set once the stream is poisoned
   std::uint32_t max_frame_size_;
-  std::size_t max_header_block_ = 1 << 20;
   // CONTINUATION reassembly state: the frame the block began in, and the
   // block so far.
   bool expecting_continuation_ = false;

@@ -57,8 +57,6 @@ class PriorityTree {
   /// True if `ancestor` is a (transitive) ancestor of `id`.
   bool is_ancestor(std::uint32_t ancestor, std::uint32_t id) const;
 
-  std::size_t node_count() const { return nodes_.size(); }
-
  private:
   struct Node {
     std::uint32_t parent = 0;

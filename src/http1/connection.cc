@@ -104,11 +104,12 @@ std::vector<MessageParser::Message> MessageParser::feed(
 
 // ---------------------------------------------------------------- outbox
 
-std::size_t Outbox::produce_into(std::vector<std::uint8_t>& out,
-                                 std::size_t max_bytes, util::WriteCap) {
+std::size_t Outbox::produce_into(util::WireOut& out, std::size_t max_bytes,
+                                 util::WriteCap) {
   const std::size_t n = std::min(max_bytes, queued_.size() - read_);
   const auto begin = queued_.begin() + static_cast<std::ptrdiff_t>(read_);
-  out.insert(out.end(), begin, begin + static_cast<std::ptrdiff_t>(n));
+  out.owned().insert(out.owned().end(), begin,
+                     begin + static_cast<std::ptrdiff_t>(n));
   read_ += n;
   if (read_ == queued_.size()) {
     queued_.clear();

@@ -69,17 +69,11 @@ class MessageParser {
 class Outbox {
  public:
   bool want_write() const noexcept { return read_ < queued_.size(); }
-  /// Append up to `max_bytes` queued bytes to `out`; returns the count. A
-  /// text stream cuts at any byte, so both cap policies are exact.
-  std::size_t produce_into(std::vector<std::uint8_t>& out,
-                           std::size_t max_bytes,
-                           util::WriteCap = util::WriteCap::kHard);
-  /// The same into a WireOut: every byte is owned (H1 bodies are queued
-  /// as text).
+  /// Append up to `max_bytes` queued bytes to `out`, all owned (H1 bodies
+  /// are queued as text); returns the count. A text stream cuts at any
+  /// byte, so both cap policies are exact.
   std::size_t produce_into(util::WireOut& out, std::size_t max_bytes,
-                           util::WriteCap cap = util::WriteCap::kHard) {
-    return produce_into(out.owned(), max_bytes, cap);
-  }
+                           util::WriteCap = util::WriteCap::kHard);
 
  protected:
   void queue_bytes(std::string_view bytes) { queued_ += bytes; }

@@ -49,27 +49,30 @@ int open_tcp_socket(const std::string& addr, std::uint16_t port,
 }
 
 /// Pump sink over fetch_urls' socket: each turn takes up to 256 KB under
-/// the hard cap and sends all of it before returning, polling for room
-/// when the socket is full. A failed send closes the budget; the caller
-/// reports it.
+/// the hard cap into a reused staging buffer and sends all of it before
+/// returning, polling for room when the socket is full. A failed send
+/// closes the budget; the caller reports it.
 struct BlockingSendSink {
   static constexpr util::WriteCap kCap = util::WriteCap::kHard;
 
+  explicit BlockingSendSink(int socket) : fd(socket) {}
+
   int fd;
-  std::vector<std::uint8_t>& staging;
   bool failed = false;
   int send_errno = 0;
+  std::vector<std::uint8_t> staging;
+  util::WireOut out{staging};  // appends to staging
 
   std::size_t budget() const { return failed ? 0 : 256 * 1024; }
-  std::vector<std::uint8_t>& buffer() {
+  util::WireOut& buffer() {
     staging.clear();
-    return staging;
+    return out;
   }
-  void commit(std::span<const std::uint8_t> bytes) {
+  void commit(std::size_t) {
     std::size_t sent = 0;
-    while (sent < bytes.size()) {
-      const ssize_t n = util::posix::send_retry(fd, bytes.data() + sent,
-                                                bytes.size() - sent);
+    while (sent < staging.size()) {
+      const ssize_t n = util::posix::send_retry(fd, staging.data() + sent,
+                                                staging.size() - sent);
       if (n > 0) {
         sent += static_cast<std::size_t>(n);
         continue;
@@ -160,8 +163,7 @@ fetch_urls(const std::string& addr, std::uint16_t port,
 
   std::size_t next_url = 0;
   std::size_t in_flight = 0;
-  std::vector<std::uint8_t> out;
-  BlockingSendSink sink{fd, out};
+  BlockingSendSink sink(fd);
   std::vector<std::uint8_t> in(64 * 1024);
   const std::uint64_t deadline =
       EventLoop::clock_ms() + options.timeout_ms;

@@ -67,8 +67,6 @@ class EventLoop {
   /// Monotonic nanoseconds, uncached — latency timestamps, trace clocks.
   static std::uint64_t clock_ns() noexcept;
 
-  std::size_t fd_count() const noexcept { return handlers_.size(); }
-
  private:
   void wake();
   void drain_posted();

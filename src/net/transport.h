@@ -67,10 +67,11 @@ class Transport {
     if (!open() || out_.size() >= config_.high_watermark) return 0;
     return config_.high_watermark - out_.size();
   }
-  /// The source appends straight into the write buffer (no copy)...
-  std::vector<std::uint8_t>& buffer() noexcept { return out_.tail(); }
+  /// The source appends straight into the write buffer, body bytes
+  /// copied in too, so what send() reads is one contiguous span...
+  util::WireOut& buffer() noexcept { return writer_; }
   /// ...which already holds the bytes: just flush.
-  void commit(std::span<const std::uint8_t>) { flush(); }
+  void commit(std::size_t) { flush(); }
 
   /// Close immediately, firing on_closed(reason) (idempotent).
   void close(const std::string& reason);
@@ -91,6 +92,7 @@ class Transport {
   Config config_;
   Handlers handlers_;
   ByteBuffer out_;
+  util::WireOut writer_{out_.tail()};  // appends to out_
   std::vector<std::uint8_t> read_buf_;
   bool want_out_ = false;       // EPOLLOUT currently registered
   bool close_on_drain_ = false;

@@ -18,10 +18,6 @@ void OriginMap::set_certificate(const IpAddress& ip, Certificate cert) {
   servers_[ip] = std::move(cert);
 }
 
-bool OriginMap::has_host(const std::string& host) const {
-  return host_to_ip_.count(host) != 0;
-}
-
 IpAddress OriginMap::ip_of(const std::string& host) const {
   const auto it = host_to_ip_.find(host);
   return it == host_to_ip_.end() ? IpAddress{} : it->second;

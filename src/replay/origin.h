@@ -37,7 +37,6 @@ class OriginMap {
   /// do NOT cover co-hosted third parties).
   void set_certificate(const IpAddress& ip, Certificate cert);
 
-  bool has_host(const std::string& host) const;
   IpAddress ip_of(const std::string& host) const;  // empty if unknown
 
   /// Chromium's coalescing rule: can a connection to `connected_host`'s

@@ -70,8 +70,6 @@ class Link {
   /// time, the resource Server Push tries to fill (paper §4.3).
   Time busy_time() const noexcept { return busy_time_; }
   const LinkConfig& config() const noexcept { return config_; }
-  void set_rate(double bps) noexcept { config_.rate_bps = bps; }
-  void set_random_loss(double p) noexcept { config_.random_loss = p; }
 
   /// Attach a trace recorder (queue-depth counters, drop instants).
   void set_trace(trace::TraceRecorder* recorder, std::uint32_t track) {

@@ -173,17 +173,8 @@ bool TcpConnection::writable(Side side) const noexcept {
   return unsent_bytes(side) < config_.write_watermark;
 }
 
-std::uint64_t TcpConnection::bytes_delivered_to(Side side) const noexcept {
-  // Data delivered *to* the client travelled on the down half.
-  return side == Side::kClient ? down_.delivered : up_.delivered;
-}
-
 std::uint64_t TcpConnection::retransmissions() const noexcept {
   return up_.retransmissions + down_.retransmissions;
-}
-
-double TcpConnection::cwnd_segments(Side sender) const noexcept {
-  return half(sender).cwnd;
 }
 
 void TcpConnection::trace_congestion(Side sender) {
@@ -263,8 +254,6 @@ void TcpConnection::on_segment(Side sender, std::uint64_t seq,
     h.rcv_nxt = std::max(h.rcv_nxt, it->second);
     h.ooo.erase(it);
   }
-  const auto count = static_cast<std::size_t>(h.rcv_nxt - from);
-  h.delivered += count;
   send_ack(sender);
   if (callbacks_.on_receive) deliver(sender, from, h.rcv_nxt);
 }

@@ -96,8 +96,10 @@ class TcpConnection {
   /// Begin the handshake. on_connected fires when the client may write.
   void connect();
 
-  /// Queue application bytes for transmission from `side` (a copy into
-  /// the send buffer; writer() + commit() skip it).
+  /// Queue application bytes for transmission from `side`: a copy into
+  /// the send buffer, then commit(). Both ends of a simulated session
+  /// write in place through writer() + commit() instead; this copying
+  /// form stays for h2bench's TCP replay and for tests.
   void send(Side side, std::span<const std::uint8_t> data);
 
   /// Append-in-place send path: append owned bytes to writer(side).owned()
@@ -118,11 +120,7 @@ class TcpConnection {
   std::size_t unsent_bytes(Side side) const noexcept;
   bool writable(Side side) const noexcept;
 
-  /// Total application bytes delivered to `side` so far.
-  std::uint64_t bytes_delivered_to(Side side) const noexcept;
-
   std::uint64_t retransmissions() const noexcept;
-  double cwnd_segments(Side sender) const noexcept;
   /// Bytes `sender`'s buffer compaction has moved so far (owned bytes
   /// only: borrowed extents are never moved).
   std::uint64_t compacted_bytes(Side sender) const noexcept {
@@ -198,7 +196,6 @@ class TcpConnection {
     // --- receiver state ---
     std::uint64_t rcv_nxt = 0;
     std::map<std::uint64_t, std::uint64_t> ooo;  // past a hole: seq → end
-    std::uint64_t delivered = 0;
     std::uint64_t last_ack_sent = 0;
   };
 

@@ -35,10 +35,6 @@ std::string Hash128::hex() const {
   return out;
 }
 
-Hash128 hash128(std::string_view bytes) {
-  return truncate_digest(sha256(bytes));
-}
-
 void CanonicalHasher::entry(std::string_view name, char type_code,
                             std::string_view payload) {
   // name | 0x1f | type | payload — 0x1f never appears in field names, so

@@ -37,9 +37,6 @@ struct Hash128Hasher {
   }
 };
 
-/// One-shot hash of a byte string.
-Hash128 hash128(std::string_view bytes);
-
 class CanonicalHasher {
  public:
   /// Add a named field. Field names must be unique per hasher; emission

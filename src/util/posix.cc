@@ -43,14 +43,6 @@ ssize_t write_retry(int fd, const void* buf, std::size_t count) noexcept {
   return n;
 }
 
-ssize_t recv_retry(int fd, void* buf, std::size_t count, int flags) noexcept {
-  ssize_t n;
-  do {
-    n = ::recv(fd, buf, count, flags);
-  } while (n < 0 && errno == EINTR);
-  return n;
-}
-
 ssize_t send_retry(int fd, const void* buf, std::size_t count,
                    int flags) noexcept {
   ssize_t n;

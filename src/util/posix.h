@@ -34,7 +34,6 @@ bool would_block(int errno_value) noexcept;
 // --- EINTR-retrying syscall wrappers ---
 ssize_t read_retry(int fd, void* buf, std::size_t count) noexcept;
 ssize_t write_retry(int fd, const void* buf, std::size_t count) noexcept;
-ssize_t recv_retry(int fd, void* buf, std::size_t count, int flags) noexcept;
 /// send() with MSG_NOSIGNAL folded in: even if ignore_sigpipe() was not
 /// called, a peer reset surfaces as EPIPE, never as a signal.
 ssize_t send_retry(int fd, const void* buf, std::size_t count,

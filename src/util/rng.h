@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <cmath>
 #include <string_view>
-#include <vector>
 
 namespace h2push::util {
 
@@ -111,17 +110,6 @@ class Rng {
     double u = next_double();
     if (u < 1e-300) u = 1e-300;
     return xm / std::pow(u, 1.0 / alpha);
-  }
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) noexcept {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
   }
 
   /// Pick a uniformly random element index; requires non-empty size.

@@ -1,7 +1,6 @@
 #include "util/strings.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace h2push::util {
 
@@ -37,18 +36,6 @@ bool starts_with(std::string_view s, std::string_view prefix) noexcept {
 bool ends_with(std::string_view s, std::string_view suffix) noexcept {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
-}
-
-std::string human_bytes(double bytes) {
-  char buf[32];
-  if (bytes >= 1024.0 * 1024.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f MB", bytes / (1024.0 * 1024.0));
-  } else if (bytes >= 1024.0) {
-    std::snprintf(buf, sizeof(buf), "%.1f KB", bytes / 1024.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%.0f B", bytes);
-  }
-  return buf;
 }
 
 }  // namespace h2push::util

@@ -60,7 +60,4 @@ constexpr std::string_view trim(std::string_view s) noexcept {
   return s;
 }
 
-/// printf-style human size, e.g. "236.0 KB".
-std::string human_bytes(double bytes);
-
 }  // namespace h2push::util

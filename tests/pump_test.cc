@@ -2,7 +2,8 @@
 // bytes from an HTTP endpoint to a transport — it stops at a zero budget,
 // returns instead of spinning when bytes are owed but none fit, and a sink
 // whose commit re-enters the pump (as sim::TcpConnection's writability
-// signal does) yields the same byte stream as one that does not.
+// signal does) while the source appends in place into its send buffer
+// yields the same byte stream as one that does not.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -34,20 +35,22 @@ struct CountingSource {
   std::size_t calls = 0;
 
   bool want_write() const { return calls < limit && source.want_write(); }
-  std::size_t produce_into(std::vector<std::uint8_t>& out,
-                           std::size_t max_bytes, WriteCap cap) {
+  std::size_t produce_into(WireOut& out, std::size_t max_bytes,
+                           WriteCap cap) {
     ++calls;
     return source.produce_into(out, max_bytes, cap);
   }
 };
 
-/// Takes `total` bytes, at most `chunk` per turn, under cap policy `Cap`.
+/// Takes `total` bytes, at most `chunk` per turn, under cap policy `Cap`,
+/// through a staging buffer it copies out of on commit.
 template <WriteCap Cap>
 struct BudgetSink {
   static constexpr WriteCap kCap = Cap;
   std::size_t total = 0;
   std::size_t chunk = 0;
   std::vector<std::uint8_t> staging{};
+  WireOut out{staging};
   std::string wire{};
   std::size_t budget_calls = 0;
 
@@ -56,12 +59,13 @@ struct BudgetSink {
     const std::size_t left = total > wire.size() ? total - wire.size() : 0;
     return std::min(chunk, left);
   }
-  std::vector<std::uint8_t>& buffer() {
+  WireOut& buffer() {
     staging.clear();
-    return staging;
+    return out;
   }
-  void commit(std::span<const std::uint8_t> bytes) {
-    wire.append(bytes.begin(), bytes.end());
+  void commit(std::size_t appended) {
+    EXPECT_EQ(appended, staging.size());
+    wire.append(staging.begin(), staging.end());
   }
 };
 
@@ -141,33 +145,35 @@ TEST(Pump, ReturnsWhenOwedBytesDoNotFit) {
   EXPECT_TRUE(f.client.last_error().empty()) << f.client.last_error();
 }
 
-/// A sink shaped like one side of sim::TcpConnection: a 2-MSS watermark
-/// gates writes, every commit transmits up to `per_commit` buffered bytes
-/// (here more than a frame, so every commit that crosses the watermark
-/// falls back under it), and crossing back under signals writability —
-/// which, when `reenter` is set, runs the pump again from inside commit.
+/// A sink shaped like one side of sim::TcpConnection: the source appends
+/// in place into its send buffer, a 2-MSS watermark gates writes, every
+/// commit transmits up to `per_commit` buffered bytes (here more than a
+/// frame, so every commit that crosses the watermark falls back under
+/// it), and crossing back under signals writability — which, when
+/// `reenter` is set, runs the pump again from inside commit, appending
+/// behind the bytes just committed.
 struct TcpLikeSink {
   static constexpr WriteCap kCap = WriteCap::kSoft;
   static constexpr std::size_t kWatermark = 2 * 1460;
 
   h2::Connection* reenter = nullptr;
   std::size_t per_commit = 20000;
-  std::vector<std::uint8_t>* staging = nullptr;  // shared, like the sim's
-  std::string wire{};
+  std::vector<std::uint8_t> wire{};  // the send buffer, never cleared
+  WireOut out{wire};
+  std::size_t committed = 0;
   std::size_t unsent = 0;
   bool writable_low = true;
   int depth = 0;
   int max_depth = 0;
 
   std::size_t budget() const { return unsent < kWatermark ? kWatermark : 0; }
-  std::vector<std::uint8_t>& buffer() {
-    staging->clear();
-    return *staging;
-  }
-  void commit(std::span<const std::uint8_t> bytes) {
-    // Copy first, like TcpConnection::send: what follows may re-enter.
-    wire.append(bytes.begin(), bytes.end());
-    unsent += bytes.size();
+  WireOut& buffer() { return out; }
+  void commit(std::size_t appended) {
+    // Account for the bytes first, like TcpConnection::commit: what
+    // follows may re-enter and append more.
+    committed += appended;
+    EXPECT_EQ(committed, wire.size());
+    unsent += appended;
     if (unsent >= kWatermark) writable_low = false;
     unsent -= std::min(unsent, per_commit);
     if (unsent < kWatermark && !writable_low) {
@@ -189,23 +195,20 @@ struct TcpLikeSink {
 
 std::string tcp_like_stream(bool reentrant, int* max_depth) {
   H2Fixture f;
-  std::vector<std::uint8_t> staging{};
   TcpLikeSink sink;
-  sink.staging = &staging;
   if (reentrant) sink.reenter = &f.server;
   for (int tick = 0; tick < 100000 && f.server.want_write(); ++tick) {
     pump(f.server, sink);
     sink.drain();
   }
   EXPECT_FALSE(f.server.want_write());
-  f.client.receive({reinterpret_cast<const std::uint8_t*>(sink.wire.data()),
-                    sink.wire.size()});
+  f.client.receive(sink.wire);
   EXPECT_TRUE(f.client.last_error().empty()) << f.client.last_error();
   for (const auto id : f.streams) {
     EXPECT_EQ(f.client.stream_state(id), h2::StreamState::kClosed);
   }
   *max_depth = sink.max_depth;
-  return sink.wire;
+  return std::string(sink.wire.begin(), sink.wire.end());
 }
 
 TEST(Pump, ReentrantCommitYieldsSameStream) {

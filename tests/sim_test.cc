@@ -511,6 +511,66 @@ TEST(Tcp, WritableSignalFiresOnDrain) {
   EXPECT_GT(writable_signals, 0);
 }
 
+// send() copies the bytes into the send buffer and commits them; the
+// simulated sessions append in place through writer(side) and commit the
+// count instead. Over a lossy link, with both sides writing chunks of
+// every size, the two must deliver the same runs and signal writability
+// at the same simulated instants.
+TEST(Tcp, SendMatchesWriterCommit) {
+  struct Event {
+    TcpConnection::Side side;
+    Time at;
+    bool writable;                    // an on_writable signal, no bytes
+    std::vector<std::uint8_t> bytes;  // a delivered run
+    bool operator==(const Event&) const = default;
+  };
+  const auto transfer = [](bool in_place) {
+    Simulator sim;
+    Link down(sim, TcpHarness::link_config(16e6, 64 * 1024, 0.02),
+              util::Rng(3));
+    Link up(sim, TcpHarness::link_config(1e6, 64 * 1024, 0.02),
+            util::Rng(4));
+    std::vector<Event> log;
+    TcpConnection::Callbacks cb;
+    cb.on_receive = [&](TcpConnection::Side side, util::WireBytes run) {
+      const std::span<const std::uint8_t> data = run;
+      log.push_back({side, sim.now(), false, {data.begin(), data.end()}});
+    };
+    cb.on_writable = [&](TcpConnection::Side side) {
+      log.push_back({side, sim.now(), true, {}});
+    };
+    TcpConnection tcp(sim, TcpConfig{}, Route{&up, from_ms(23)},
+                      Route{&down, from_ms(23)}, std::move(cb));
+    tcp.connect();
+    sim.run(from_seconds(60));
+    util::Rng rng(11);
+    for (int i = 0; i < 40; ++i) {
+      const auto side = i % 3 == 0 ? TcpConnection::Side::kClient
+                                   : TcpConnection::Side::kServer;
+      std::vector<std::uint8_t> chunk(
+          static_cast<std::size_t>(rng.uniform_int(1, 40000)));
+      for (auto& byte : chunk) {
+        byte = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      }
+      if (in_place) {
+        std::vector<std::uint8_t>& owned = tcp.writer(side).owned();
+        owned.insert(owned.end(), chunk.begin(), chunk.end());
+        tcp.commit(side, chunk.size());
+      } else {
+        tcp.send(side, chunk);
+      }
+      const auto pause = static_cast<double>(rng.uniform_int(0, 30));
+      sim.run(sim.now() + from_ms(pause));
+    }
+    sim.run(from_seconds(600));
+    return log;
+  };
+  const std::vector<Event> via_send = transfer(false);
+  const std::vector<Event> via_writer = transfer(true);
+  ASSERT_GT(via_send.size(), 40u);
+  EXPECT_TRUE(via_send == via_writer);
+}
+
 // Segments travel as (seq, len) and ACKs as a cumulative number, both in
 // the simulator's inline event storage, and the RTO timer is re-armed in
 // place: once the buffers and the event pool are warm, moving more data
