@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 build + test pass, then the simulator's
-# bit-exactness against the recorded sweep digests and the fig-level
-# goldens (tests/golden/), then a warning-free Release build (-Werror),
-# then the same test suite under AddressSanitizer +
+# bit-exactness against the recorded sweep digests, the fig-level goldens
+# and the trace goldens (tests/golden/), then a warning-free Release build
+# (-Werror), then the same test suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer, then the threaded runner tests under
 # ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
 # not ABI-compatible with each other or the plain build; TSan in particular
 # excludes ASan).
 #
-#   scripts/check.sh            # tier-1 + digests + goldens + -Werror +
-#                               # ASan/UBSan + TSan
+#   scripts/check.sh            # tier-1 + digests + goldens + traces +
+#                               # -Werror + ASan/UBSan + TSan
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Exits non-zero on the first failure.
@@ -90,6 +90,25 @@ for name in "${golden_benches[@]}"; do
   fi
 done
 echo "${#golden_benches[@]} fig-level goldens match"
+
+echo "=== trace goldens: trace_page_load w1 + s5, both arms (build/) ==="
+# Traced runs keep per-packet link departure events (sim/link.h) that
+# untraced runs retire lazily, and they record every simulated event, so
+# the trace JSON and summaries pin the event order byte for byte. Their
+# sha256 sums must match tests/golden/trace_page_load.sha256.
+cmake --build build -j "$jobs" --target trace_page_load >/dev/null
+trace_dir=$(mktemp -d)
+trap 'rm -rf "$cache_dir" "$golden_dir" "$trace_dir"' EXIT
+for site in w1 s5; do
+  mkdir -p "$trace_dir/$site"
+  ./build/examples/trace_page_load "$site" "$trace_dir/$site" >/dev/null
+done
+trace_sums=$(pwd)/tests/golden/trace_page_load.sha256
+if ! (cd "$trace_dir" && sha256sum --check --strict --quiet "$trace_sums"); then
+  echo "trace golden mismatch" >&2
+  exit 1
+fi
+echo "trace goldens match"
 
 echo "=== warnings: Release build with -Werror (build-werror/) ==="
 # The optimiser sees more at -O3 than in the default RelWithDebInfo build

@@ -184,6 +184,23 @@ Connection::Stream& Connection::ensure_stream(std::uint32_t id) {
   return it->second;
 }
 
+void Connection::set_body_pending(Stream& s, bool pending) {
+  if (s.body_pending == pending) return;
+  s.body_pending = pending;
+  if (pending) {
+    s.pending_prev = nullptr;
+    s.pending_next = pending_head_;
+    if (pending_head_ != nullptr) pending_head_->pending_prev = &s;
+    pending_head_ = &s;
+    return;
+  }
+  (s.pending_prev != nullptr ? s.pending_prev->pending_next : pending_head_) =
+      s.pending_next;
+  if (s.pending_next != nullptr) s.pending_next->pending_prev = s.pending_prev;
+  s.pending_prev = nullptr;
+  s.pending_next = nullptr;
+}
+
 std::uint32_t Connection::submit_request(
     const http::HeaderBlock& headers, std::optional<PrioritySpec> priority) {
   assert(config_.role == Role::kClient);
@@ -221,7 +238,7 @@ void Connection::submit_goaway(ErrorCode error, const std::string& debug_data) {
 void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
   Stream& s = ensure_stream(stream);
   s.state = StreamState::kClosed;
-  s.body_pending = false;
+  set_body_pending(s, false);
   queue_control(Frame{RstStreamFrame{stream, error}});
   scheduler_.on_stream_removed(stream);
   signal_write();
@@ -268,7 +285,7 @@ void Connection::submit_response(std::uint32_t stream,
   } else {
     s.body = std::move(body);
     s.body_offset = 0;
-    s.body_pending = true;
+    set_body_pending(s, true);
   }
   signal_write();
 }
@@ -281,18 +298,14 @@ bool Connection::data_ready(std::uint32_t id) const {
 }
 
 bool Connection::send_quiescent() const {
-  if (control_pending()) return false;
-  for (const auto& [id, s] : streams_) {
-    if (s.body_pending) return false;
-  }
-  return true;
+  return !control_pending() && pending_head_ == nullptr;
 }
 
 bool Connection::want_write() const {
   if (control_pending()) return true;
   if (send_window_ <= 0) return false;
-  for (const auto& [id, s] : streams_) {
-    if (s.body_pending && s.send_window > 0) return true;
+  for (const Stream* s = pending_head_; s != nullptr; s = s->pending_next) {
+    if (s->send_window > 0) return true;
   }
   return false;
 }
@@ -376,7 +389,7 @@ std::size_t Connection::produce_into(util::WireOut& out,
                       static_cast<double>(send_window_));
     }
     if (end_stream) {
-      s.body_pending = false;
+      set_body_pending(s, false);
       s.local_done = true;
       s.end_queued = true;
       s.body.reset();
@@ -688,7 +701,7 @@ void Connection::on_frame(Frame&& frame) {
           }
           Stream& s = ensure_stream(f.stream_id);
           s.state = StreamState::kClosed;
-          s.body_pending = false;
+          set_body_pending(s, false);
           s.body.reset();
           scheduler_.on_stream_removed(f.stream_id);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
@@ -738,6 +751,21 @@ void Connection::on_frame(Frame&& frame) {
 std::optional<std::string> Connection::check_invariants() const {
   if (recv_window_ < 0) return "connection recv window negative";
   if (send_window_ > kMaxWindow) return "connection send window above 2^31-1";
+  std::size_t pending = 0;
+  for (const Stream* s = pending_head_; s != nullptr; s = s->pending_next) {
+    if (!s->body_pending) return "pending list holds a stream without a body";
+    if ((s->pending_next != nullptr && s->pending_next->pending_prev != s) ||
+        (s == pending_head_) != (s->pending_prev == nullptr)) {
+      return "pending list links broken";
+    }
+    if (++pending > streams_.size()) return "pending list cycles";
+  }
+  for (const auto& [id, s] : streams_) {
+    if (s.body_pending && pending-- == 0) {
+      return "pending list misses a stream with a body";
+    }
+  }
+  if (pending != 0) return "pending list holds a stream twice";
   for (const auto& [id, s] : streams_) {
     const std::string tag = " (stream " + std::to_string(id) + ")";
     if (s.recv_window < 0) return "stream recv window negative" + tag;

@@ -207,6 +207,9 @@ class Connection : private FrameHandler {
     Body body;
     std::size_t body_offset = 0;
     bool body_pending = false;   // response submitted, data left to send
+    // Links in the list of streams with body_pending set (pending_head_).
+    Stream* pending_prev = nullptr;
+    Stream* pending_next = nullptr;
     bool end_queued = false;     // END_STREAM emitted
     std::uint64_t data_sent = 0;
     bool local_done = false;   // we will send no more
@@ -235,6 +238,8 @@ class Connection : private FrameHandler {
                      std::int64_t bytes);
   void apply_remote_settings(const SettingsFrame& frame);
   Stream& ensure_stream(std::uint32_t id);
+  /// Set s.body_pending, keeping the pending list in step with it.
+  void set_body_pending(Stream& s, bool pending);
   void maybe_close(std::uint32_t id);
   bool data_ready(std::uint32_t id) const;
   bool control_pending() const noexcept {
@@ -253,6 +258,10 @@ class Connection : private FrameHandler {
   TreeScheduler scheduler_;
 
   std::map<std::uint32_t, Stream> streams_;
+  // Streams with a body left to send, linked through their map nodes
+  // (which never move), so want_write() and send_quiescent() walk these
+  // instead of every stream the connection ever opened.
+  Stream* pending_head_ = nullptr;
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)
   // Highest stream id the peer has opened / promised; lower unknown ids are
   // idle-by-definition and frames on them are protocol errors (§5.1.1).

@@ -6,10 +6,25 @@
 // profile), which is what creates bandwidth contention between concurrent
 // push streams (paper §5, w10). A Route is a Link plus an extra per-path
 // propagation delay (server distance behind the access link).
+//
+// A packet leaves the queue when its serialization ends. The link does not
+// schedule an event for that: enqueue() reserves the key the departure
+// event would have had (Simulator::reserve_seq()) and appends {departure
+// time, key, bytes} to a FIFO whose times only rise. Before the queue is
+// read — enqueue(), queued_bytes(), queued_packets() — every entry whose
+// key the simulator has passed (Simulator::passed()) is retired, which is
+// exactly the set of departure events that would have fired by then, ties
+// at the same instant included. So a page load costs one event per packet,
+// its delivery. A traced link still schedules the departure event, on the
+// reserved key, only to stamp the queue counters at departure: traced and
+// untraced runs then consume the same sequence numbers and fire every
+// other event in the same order.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -34,7 +49,18 @@ struct LinkConfig {
 
 class Link {
  public:
+  /// A queued packet: it leaves when the simulator passes its departure
+  /// event's key (at, seq).
+  struct Departure {
+    Time at;
+    std::uint64_t seq;
+    std::size_t bytes;
+  };
+
   Link(Simulator& sim, LinkConfig config, util::Rng loss_rng);
+  ~Link();
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Enqueue a packet of `bytes` (incl. headers). `on_delivered` fires after
   /// queueing + serialization + propagation (+ extra_delay); it is stored in
@@ -55,8 +81,14 @@ class Link {
     return true;
   }
 
-  std::size_t queued_bytes() const noexcept { return queued_bytes_; }
-  std::size_t queued_packets() const noexcept { return queued_packets_; }
+  std::size_t queued_bytes() const noexcept {
+    retire();
+    return queued_bytes_;
+  }
+  std::size_t queued_packets() const noexcept {
+    retire();
+    return queued_count_;
+  }
   std::uint64_t delivered_packets() const noexcept { return delivered_; }
   std::uint64_t dropped_packets() const noexcept { return dropped_; }
 
@@ -78,19 +110,27 @@ class Link {
   }
 
  private:
-  /// Queue accounting and the departure event. Returns false on queue
+  /// Queue accounting and the departure key. Returns false on queue
   /// overflow; otherwise sets `arrival` to the delivery time, or to -1 for
   /// a random loss.
   bool enqueue(std::size_t bytes, Time extra_delay, Time& arrival);
   void deliver(std::size_t bytes);
+  /// Drop the queued packets whose departure the simulator has passed.
+  void retire() const noexcept;
+  void trace_queue() const;
 
   Simulator& sim_;
   LinkConfig config_;
   util::Rng loss_rng_;
   Time busy_until_ = 0;
   Time busy_time_ = 0;
-  std::size_t queued_bytes_ = 0;
-  std::size_t queued_packets_ = 0;
+  // The queue: a ring over departures_ (its size a power of two, recycled
+  // per thread) of queued_count_ entries from queued_head_. Retiring is
+  // bookkeeping the const accessors may do, hence mutable.
+  mutable std::vector<Departure> departures_;
+  mutable std::size_t queued_head_ = 0;
+  mutable std::size_t queued_count_ = 0;
+  mutable std::size_t queued_bytes_ = 0;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t accepted_bytes_ = 0;

@@ -28,6 +28,7 @@ Simulator::EventNode* Simulator::allocate_node() {
 void Simulator::release_node(EventNode* node) {
   node->fn.reset();
   node->heap_index = kNotQueued;
+  node->rearm_seq = 0;
   ++node->generation;  // invalidate outstanding EventIds for this node
   node->next_free = free_list_;
   free_list_ = node;
@@ -49,6 +50,18 @@ void Simulator::cancel(EventId id) {
     remove(node);
     release_node(node);
   }
+}
+
+void Simulator::rekey(EventNode* node, Time t) {
+  // The new key (t, next seq) follows every issued key at time t, so it is
+  // later than the heap entry's exactly when t is not earlier.
+  if (t >= heap_[node->heap_index].time) {
+    node->rearm_time = t;
+    node->rearm_seq = next_seq_++;
+    return;
+  }
+  node->rearm_seq = 0;
+  move(node, t);
 }
 
 void Simulator::push(const QueueEntry& entry) {
@@ -116,25 +129,58 @@ void Simulator::sift_down(std::size_t i, QueueEntry entry) noexcept {
   place(i, entry);
 }
 
-bool Simulator::step() {
-  if (heap_.empty()) return false;
+void Simulator::fire_front() {
   const QueueEntry top = heap_.front();
   pop_front();
   // Popped: cancel() and rearm_at() of this event's id must treat it as no
   // longer pending from here on (including from inside its own callback).
   top.node->heap_index = kNotQueued;
   now_ = top.time;
+  fired_seq_ = top.seq;
   ++executed_;
   if (fire_hook_) fire_hook_(top.time);
   top.node->fn();
   release_node(top.node);
-  return true;
+}
+
+void Simulator::requeue_front() {
+  EventNode* node = heap_.front().node;
+  const QueueEntry entry{node->rearm_time, node->rearm_seq, node};
+  node->rearm_seq = 0;
+  sift_down(0, entry);
+}
+
+bool Simulator::step() {
+  while (!heap_.empty()) {
+    if (heap_.front().node->rearm_seq == 0) {
+      fire_front();
+      return true;
+    }
+    requeue_front();
+  }
+  return false;
 }
 
 void Simulator::run(Time deadline) {
   while (!heap_.empty()) {
-    if (heap_.front().time > deadline) break;
-    step();
+    const QueueEntry& top = heap_.front();
+    if (top.time > deadline) {
+      // Stopped at the deadline: every issued key up to it has passed.
+      // A deadline before now() adds nothing the fired key does not cover.
+      if (deadline < now_) return;
+      if (stop_.time > deadline) earlier_stops_.push_back(stop_);
+      while (!earlier_stops_.empty() &&
+             earlier_stops_.back().time <= deadline) {
+        earlier_stops_.pop_back();
+      }
+      stop_ = Key{deadline, next_seq_};
+      return;
+    }
+    if (top.node->rearm_seq == 0) {
+      fire_front();
+    } else {
+      requeue_front();
+    }
   }
 }
 

@@ -2,7 +2,8 @@
 //
 // A single-threaded event loop with deterministic ordering: events fire in
 // (time, insertion-sequence) order, so two events scheduled for the same
-// instant run in the order they were scheduled.
+// instant run in the order they were scheduled. Every schedule takes the
+// next sequence number, and that (time, seq) pair is the event's key.
 //
 // The schedule/fire path is the simulator's hottest loop — a page-load sweep
 // executes tens of millions of events — so it is allocation-free in steady
@@ -10,12 +11,24 @@
 // (an intrusive free list recycles nodes as they fire), and the priority
 // queue is an indexed binary heap of 24-byte {time, seq, node*} entries
 // whose nodes record their heap position. That position makes cancel() an
-// O(log n) removal and rearm_at() an in-place move, so the heap never holds
-// dead entries: TCP's retransmission timer, re-armed on every segment and
-// every ACK, costs one sift instead of a tombstone plus a fresh node. Stale
-// EventIds (fired, cancelled, re-armed, or recycled) are rejected via a
-// per-node generation tag packed into the id, so cancel() keeps its "any id
-// is safe" contract.
+// O(log n) removal, so the heap never holds dead entries. Stale EventIds
+// (fired, cancelled, re-armed, or recycled) are rejected via a per-node
+// generation tag packed into the id, so cancel() keeps its "any id is safe"
+// contract.
+//
+// Two rules keep the queue to about one entry per packet:
+//   - Reserved keys. reserve_seq() takes a sequence number without
+//     scheduling anything, so a component can keep the key an event would
+//     have had and ask passed(t, seq) later whether the simulator has gone
+//     past it — exactly whether that event would have fired by now. A Link
+//     retires its queue this way instead of scheduling a departure event
+//     per packet (sim/link.h).
+//   - Deferred re-arm. rearm_at() to a later key leaves the node's heap
+//     entry where it is and records the new key in the node. When the
+//     stale entry reaches the front it is re-queued under the recorded key
+//     and nothing fires, so TCP's retransmission timer, re-armed on every
+//     ACK, costs no heap work until it nears the front. Re-arming earlier
+//     moves the entry in place.
 #pragma once
 
 #include <cstddef>
@@ -109,6 +122,35 @@ class Simulator {
     return schedule_at(now_ + delay, std::forward<F>(fn));
   }
 
+  /// Take the sequence number the next schedule_at() would have used,
+  /// scheduling nothing. Events scheduled later order after the key.
+  std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  /// Schedule `fn` under a key taken with reserve_seq(): it fires exactly
+  /// where a schedule_at(t, fn) made at reservation time would have.
+  /// `t` must not be before now().
+  template <typename F>
+  EventId schedule_reserved(Time t, std::uint64_t seq, F&& fn) {
+    EventNode* node = allocate_node();
+    node->fn.emplace(std::forward<F>(fn));
+    push(QueueEntry{t, seq, node});
+    return id_of(node);
+  }
+
+  /// Whether the simulator has gone past key (t, seq) of an issued
+  /// sequence number: an event with that key would have fired by now. True
+  /// for keys at or before the running (or last fired) event's, and, after
+  /// a run(deadline) that stopped at its deadline, for every key issued
+  /// before the stop with t at or before that deadline.
+  bool passed(Time t, std::uint64_t seq) const noexcept {
+    if (t != now_ ? t < now_ : seq <= fired_seq_) return true;
+    if (seq < stop_.seq && t <= stop_.time) return true;
+    for (const Key& stop : earlier_stops_) {
+      if (seq < stop.seq && t <= stop.time) return true;
+    }
+    return false;
+  }
+
   /// Cancel a pending event. Safe to call with kInvalidEvent, an id that
   /// already fired, an id that was never issued, or an id cancelled before
   /// (all no-ops): the generation tag in the id mismatches once a node is
@@ -118,15 +160,16 @@ class Simulator {
 
   /// Exactly `cancel(id); return schedule_at(t, fn);` — same (time, seq)
   /// key, same seq consumption, same fire order, and `id` is stale
-  /// afterwards — but when `id` is pending its node is reused and moved
-  /// within the heap instead of leaving a dead entry behind.
+  /// afterwards — but when `id` is pending its node is reused: moved within
+  /// the heap when the new key is earlier, otherwise left in place with the
+  /// new key recorded for when its entry reaches the front.
   template <typename F>
   EventId rearm_at(EventId id, Time t, F&& fn) {
     EventNode* node = pending_node(id);
     if (node == nullptr) return schedule_at(t, std::forward<F>(fn));
     node->fn.emplace(std::forward<F>(fn));
     ++node->generation;  // the old id must not reach the re-armed event
-    move(node, t < now_ ? now_ : t);
+    rekey(node, t < now_ ? now_ : t);
     return id_of(node);
   }
 
@@ -137,11 +180,14 @@ class Simulator {
   }
 
   /// Run the next pending event; returns false when the queue is empty.
+  /// Re-queueing a deferred re-arm's entry does not count as a run.
   bool step();
 
-  /// Run until the queue is empty or `deadline` is reached.
+  /// Run every event keyed at or before `deadline`, then stop (now() is
+  /// the last fired event's time, not the deadline).
   void run(Time deadline = INT64_MAX);
 
+  /// Pending events, one heap entry each (a deferred re-arm included).
   std::size_t pending_events() const noexcept { return heap_.size(); }
   std::uint64_t executed_events() const noexcept { return executed_; }
 
@@ -169,6 +215,15 @@ class Simulator {
     std::uint32_t slot = 0;        // index into nodes_, stable for life
     std::uint32_t generation = 1;  // bumped on recycle; stale ids mismatch
     std::uint32_t heap_index = kNotQueued;  // position in heap_ if there
+    // Deferred re-arm: the key the node is due at when its heap entry,
+    // still under an earlier key, reaches the front. 0 = none.
+    std::uint64_t rearm_seq = 0;
+    Time rearm_time = 0;
+  };
+
+  struct Key {
+    Time time;
+    std::uint64_t seq;
   };
 
   struct QueueEntry {
@@ -191,6 +246,14 @@ class Simulator {
   /// The node `id` names if it is still in the heap, else nullptr.
   EventNode* pending_node(EventId id) const noexcept;
 
+  /// rearm_at()'s re-key to (t, next seq): deferred when later than the
+  /// node's heap entry, a move otherwise.
+  void rekey(EventNode* node, Time t);
+  /// Pop the front event and run it.
+  void fire_front();
+  /// Re-queue the front entry, a deferred re-arm, under its recorded key.
+  void requeue_front();
+
   // Indexed binary min-heap on (time, seq); every write of an entry also
   // records its position in the entry's node.
   void push(const QueueEntry& entry);
@@ -205,8 +268,15 @@ class Simulator {
   void sift_down(std::size_t i, QueueEntry entry) noexcept;
 
   Time now_ = 0;
+  std::uint64_t fired_seq_ = 0;  // with now_, the last fired event's key
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
+  // Deadline stops of run(): every key with seq below `seq` and time at or
+  // before `time` has passed. stop_ is the latest; earlier_stops_ keeps
+  // those with later deadlines than it, which only runs to decreasing
+  // deadlines leave (seq falls and time rises towards the front).
+  Key stop_{-1, 0};
+  std::vector<Key> earlier_stops_;
   std::vector<QueueEntry> heap_;
   // Pool backing storage: nodes are allocated in blocks and never freed
   // until the simulator dies; nodes_ maps slot → node for cancel().

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "sim/vector_pool.h"
 #include "trace/trace.h"
 
 namespace h2push::sim {
@@ -12,46 +13,12 @@ const char* side_name(TcpConnection::Side side) {
   return side == TcpConnection::Side::kClient ? "client" : "server";
 }
 
-/// Send buffers of finished connections, kept per thread and per sending
-/// side so the next connection starts at the capacity an earlier one grew
-/// to. Bounded in count and in total capacity: an idle pool holds at most
-/// kPoolBytes per side, and larger buffers are simply freed. With bodies
-/// borrowed, an H2 connection's owned bytes are frame headers and control
-/// frames, and its buffer stays within a few KB (6.2 KB at most over a
-/// `bench_fig2b_push_vs_nopush --quick` sweep); the byte bound only caps
-/// what owned-only writers (the HTTP/1.1 arm, send()) grow.
-class BufferPool {
- public:
-  static constexpr std::size_t kPoolBuffers = 16;
-  static constexpr std::size_t kPoolBytes = 1u << 20;
-
-  /// The largest pooled buffer (empty), or a fresh one.
-  std::vector<std::uint8_t> acquire() {
-    if (free_.empty()) return {};
-    std::vector<std::uint8_t> buffer = std::move(free_.back());
-    free_.pop_back();
-    bytes_ -= buffer.capacity();
-    return buffer;
-  }
-
-  void release(std::vector<std::uint8_t>&& buffer) {
-    const std::size_t capacity = buffer.capacity();
-    if (capacity == 0 || free_.size() == kPoolBuffers ||
-        bytes_ + capacity > kPoolBytes) {
-      return;
-    }
-    buffer.clear();
-    // Kept ordered by capacity, largest last.
-    auto at = free_.begin();
-    while (at != free_.end() && at->capacity() < capacity) ++at;
-    free_.insert(at, std::move(buffer));
-    bytes_ += capacity;
-  }
-
- private:
-  std::vector<std::vector<std::uint8_t>> free_;
-  std::size_t bytes_ = 0;
-};
+/// Send buffers of finished connections, per thread and per sending side.
+/// With bodies borrowed, an H2 connection's owned bytes are frame headers
+/// and control frames, and its buffer stays within a few KB (6.2 KB at most
+/// over a `bench_fig2b_push_vs_nopush --quick` sweep); the pool's byte
+/// bound only caps what owned-only writers (the HTTP/1.1 arm, send()) grow.
+using BufferPool = VectorPool<std::uint8_t>;
 
 BufferPool& buffer_pool(TcpConnection::Side side) {
   thread_local BufferPool pools[2];

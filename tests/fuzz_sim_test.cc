@@ -7,6 +7,7 @@
 // definition (cancel + schedule_at) on random operation sequences.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -173,6 +174,9 @@ struct RearmPlanAction {
   std::size_t target;  // slot, modulo the slots existing at the time
   sim::Time delta;     // from now(); negative values exercise the clamp
   std::size_t label;   // action the new event runs when it fires
+  // kArm of a pending slot: |delta| after its due time instead, so the
+  // re-arm moves the event later (Simulator's deferred path).
+  bool later = false;
 };
 
 class RearmSim {
@@ -187,15 +191,25 @@ class RearmSim {
         break;
       case RearmPlanAction::Kind::kSchedule:
         ids.push_back(sim.schedule_at(t, Fire{this, ids.size(), a.label}));
+        due.push_back(std::max(t, sim.now()));
         break;
       case RearmPlanAction::Kind::kArm:
-        if (!ids.empty()) arm(a.target % ids.size(), t, a.label);
+        if (!ids.empty()) {
+          const std::size_t slot = a.target % ids.size();
+          const sim::Time delta = a.delta < 0 ? -a.delta : a.delta;
+          arm(slot, a.later && due[slot] >= 0 ? due[slot] + delta : t,
+              a.label);
+        }
         break;
       case RearmPlanAction::Kind::kArmSelf:
         if (self_slot < ids.size()) arm(self_slot, t, a.label);
         break;
       case RearmPlanAction::Kind::kCancel:
-        if (!ids.empty()) sim.cancel(ids[a.target % ids.size()]);
+        if (!ids.empty()) {
+          const std::size_t slot = a.target % ids.size();
+          sim.cancel(ids[slot]);
+          due[slot] = -1;
+        }
         break;
     }
   }
@@ -204,6 +218,9 @@ class RearmSim {
   std::vector<sim::EventId> ids;    // slot → its latest id
   std::vector<sim::EventId> stale;  // re-armed away or fired
   std::vector<std::pair<std::size_t, sim::Time>> fired;  // (label, time)
+  std::vector<sim::Time> due;  // slot → when its event fires, -1 if none
+  std::size_t pending_rearms = 0;  // re-arms of a pending event
+  std::size_t later_rearms = 0;    // of those, to a time not earlier
 
  private:
   struct Fire {
@@ -212,6 +229,7 @@ class RearmSim {
     std::size_t label;
     void operator()() const {
       owner->fired.emplace_back(label, owner->sim.now());
+      owner->due[slot] = -1;
       owner->stale.push_back(owner->ids[slot]);  // its own id, now spent
       owner->apply(owner->actions_[label], slot);
     }
@@ -219,6 +237,11 @@ class RearmSim {
 
   void arm(std::size_t slot, sim::Time t, std::size_t label) {
     stale.push_back(ids[slot]);
+    if (due[slot] >= 0) {
+      ++pending_rearms;
+      if (t >= due[slot]) ++later_rearms;
+    }
+    due[slot] = std::max(t, sim.now());
     if (use_rearm_) {
       ids[slot] = sim.rearm_at(ids[slot], t, Fire{this, slot, label});
     } else {
@@ -233,6 +256,8 @@ class RearmSim {
 
 TEST(FuzzSim, RearmMatchesCancelPlusSchedule) {
   const std::size_t iters = iterations(300);
+  std::size_t pending_rearms = 0;
+  std::size_t later_rearms = 0;
   for (std::size_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = fuzz_test::kSimSeed + (3u << 20) + i;
     Random r(seed);
@@ -244,6 +269,7 @@ TEST(FuzzSim, RearmMatchesCancelPlusSchedule) {
       a.target = g.index(64);
       a.delta = min_delta + static_cast<sim::Time>(g.range(0, 100));
       a.label = g.index(actions.size());
+      a.later = g.range(0, 1) == 1;
       return a;
     };
     // Callbacks always move time forward, so chains of events terminate;
@@ -296,7 +322,13 @@ TEST(FuzzSim, RearmMatchesCancelPlusSchedule) {
     EXPECT_EQ(moved.sim.now(), reference.sim.now()) << seed_msg(seed);
     ASSERT_FALSE(checker.violation().has_value())
         << *checker.violation() << seed_msg(seed);
+    pending_rearms += moved.pending_rearms;
+    later_rearms += moved.later_rearms;
   }
+  // At least half the re-arms of pending events move them later: the
+  // deferred path, whose stale entries step() and run() must skip.
+  EXPECT_GE(2 * later_rearms, pending_rearms);
+  EXPECT_GT(pending_rearms, 0u);
 }
 
 }  // namespace

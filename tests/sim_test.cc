@@ -3,6 +3,7 @@
 // recovery (content-verified), and determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "fuzz/invariants.h"
@@ -247,6 +248,44 @@ TEST(Simulator, SteadyStateRearmWithoutHeapAllocation) {
   EXPECT_EQ(ticks, 64u);
 }
 
+// A re-arm to a later key leaves the event's one heap entry under its old
+// key. Running to a deadline between the two re-queues it and fires
+// nothing; it then fires once, at the last key it was re-armed to.
+TEST(Simulator, RearmLaterKeepsOneEntry) {
+  Simulator sim;
+  std::vector<int> fired;
+  EventId timer = sim.schedule_at(from_ms(10), [&] { fired.push_back(0); });
+  for (int i = 1; i <= 5; ++i) {
+    timer = sim.rearm_at(timer, from_ms(10 + 10 * i),
+                         [&fired, i] { fired.push_back(i); });
+    EXPECT_EQ(sim.pending_events(), 1u);
+  }
+  sim.run(from_ms(55));  // past the old key (10 ms), before the new (60 ms)
+  EXPECT_TRUE(fired.empty());
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.executed_events(), 0u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_TRUE(sim.step());
+  EXPECT_EQ(fired, (std::vector<int>{5}));
+  EXPECT_EQ(sim.now(), from_ms(60));
+  EXPECT_FALSE(sim.step());
+
+  // Deferred, then re-armed earlier than its heap entry: a move, which
+  // fires at the earlier key; a deferred event cancels like any other.
+  fired.clear();
+  const EventId a = sim.schedule_in(from_ms(10), [&] { fired.push_back(1); });
+  const EventId b = sim.rearm_in(a, from_ms(20), [&] { fired.push_back(2); });
+  sim.rearm_in(b, from_ms(5), [&] { fired.push_back(3); });
+  const EventId c = sim.schedule_in(from_ms(1), [&] { fired.push_back(4); });
+  sim.cancel(sim.rearm_in(c, from_ms(30), [&] { fired.push_back(5); }));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{3}));
+  EXPECT_EQ(sim.now(), from_ms(65));
+  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_EQ(sim.allocated_nodes(), sim.pooled_nodes());
+}
+
 // -------------------------------------------------------------------- link
 
 TEST(Link, SerializationDelayMatchesRate) {
@@ -309,6 +348,208 @@ TEST(Link, ExtraDelayAddsToPropagation) {
   route.transmit(1000, [&] { at = sim.now(); });
   sim.run();
   EXPECT_EQ(at, from_ms(1 + 2 + 23));
+}
+
+// The link the lazy departure queue replaces: one departure event per
+// packet, scheduled where Link reserves the departure's key.
+class EventLink {
+ public:
+  EventLink(Simulator& sim, LinkConfig config, util::Rng /*no loss*/)
+      : sim_(sim), config_(config) {}
+
+  template <typename F>
+  bool transmit(std::size_t bytes, Time extra_delay, F&& on_delivered) {
+    if (queued_bytes_ + bytes > config_.queue_capacity ||
+        queued_packets_ >= config_.queue_packets) {
+      return false;
+    }
+    queued_bytes_ += bytes;
+    ++queued_packets_;
+    const Time ser = from_seconds(static_cast<double>(bytes) * 8.0 /
+                                  config_.rate_bps);
+    const Time depart = std::max(sim_.now(), busy_until_) + ser;
+    busy_until_ = depart;
+    sim_.schedule_at(depart, [this, bytes] {
+      queued_bytes_ -= bytes;
+      --queued_packets_;
+    });
+    sim_.schedule_at(depart + config_.prop_delay + extra_delay,
+                     std::forward<F>(on_delivered));
+    return true;
+  }
+
+  std::size_t queued_bytes() const noexcept { return queued_bytes_; }
+  std::size_t queued_packets() const noexcept { return queued_packets_; }
+
+ private:
+  Simulator& sim_;
+  LinkConfig config_;
+  Time busy_until_ = 0;
+  std::size_t queued_bytes_ = 0;
+  std::size_t queued_packets_ = 0;
+};
+
+// One seeded run against a link type: sends from outside any event and
+// from probe events timed exactly at departure instants, some scheduled
+// before the departure's key was reserved and some after, mixed with
+// partial run(deadline) calls. (Not step(): the reference link has more
+// events to step through.) Everything observable lands in
+// `log`: accept or drop, queue bytes and packets after every operation,
+// and each delivery's packet and time.
+template <typename L>
+struct DepartureDriver {
+  static LinkConfig tiny_queue() {
+    LinkConfig cfg;
+    cfg.rate_bps = 8e6;  // 1 byte/us: a departure every 40..1500 us
+    cfg.prop_delay = from_ms(2);
+    cfg.queue_packets = 4;
+    cfg.queue_capacity = 6000;
+    return cfg;
+  }
+
+  explicit DepartureDriver(std::uint64_t seed)
+      : link(sim, tiny_queue(), util::Rng(1)), rng(seed) {}
+
+  void observe() {
+    log.push_back(static_cast<std::int64_t>(link.queued_bytes()));
+    log.push_back(static_cast<std::int64_t>(link.queued_packets()));
+  }
+
+  /// Next packet's departure if link accepts it: its serialization ends
+  /// after every packet queued before it.
+  Time departure_of(std::size_t bytes) const {
+    return std::max(sim.now(), busy_until) +
+           from_seconds(static_cast<double>(bytes) * 8.0 / 8e6);
+  }
+
+  void send(std::size_t bytes) {
+    const Time depart = departure_of(bytes);
+    const std::int64_t id = sent++;
+    const bool ok = link.transmit(bytes, rng.uniform_int(0, 300) * kMicrosecond,
+                                  [this, id] {
+                                    log.push_back(id);
+                                    log.push_back(sim.now());
+                                  });
+    log.push_back(ok ? 1 : 0);
+    observe();
+    if (!ok) return;
+    busy_until = depart;
+    departs.push_back(depart);
+  }
+
+  std::size_t random_bytes() {
+    return static_cast<std::size_t>(rng.uniform_int(40, 1500));
+  }
+
+  /// A probe at `at`: observes, sends, and may probe the departure of the
+  /// packet it sent, scheduled after that departure's key.
+  void probe(Time at) {
+    sim.schedule_at(at, [this] {
+      observe();
+      const std::size_t before = departs.size();
+      send(random_bytes());
+      if (departs.size() > before && probes_left > 0 &&
+          rng.uniform_int(0, 1) == 0) {
+        --probes_left;
+        probe(departs.back());
+      }
+    });
+  }
+
+  void op() {
+    switch (rng.uniform_int(0, 6)) {
+      case 0:
+      case 1:
+        send(random_bytes());
+        break;
+      case 2: {  // probe, before its key, the departure of the next send
+        const std::size_t bytes = random_bytes();
+        probe(departure_of(bytes));
+        send(bytes);
+        break;
+      }
+      case 3: {  // probe, after its key, a departure not yet run past
+        const std::size_t back =
+            rng.index(std::min<std::size_t>(departs.size(), 4) + 1);
+        if (back < departs.size() && departs[departs.size() - 1 - back] >
+                                         ran_to) {
+          probe(departs[departs.size() - 1 - back]);
+        }
+        break;
+      }
+      case 4:  // up to a recent departure instant, or just short of one
+        if (!departs.empty()) {
+          const std::size_t back =
+              rng.index(std::min<std::size_t>(departs.size(), 8));
+          const Time deadline =
+              departs[departs.size() - 1 - back] - rng.uniform_int(0, 1);
+          sim.run(deadline);
+          ran_to = std::max(ran_to, deadline);
+        }
+        break;
+      case 5:
+        ran_to += rng.uniform_int(0, 3000) * kMicrosecond;
+        sim.run(ran_to);
+        break;
+      default:
+        observe();
+        break;
+    }
+    // Not always: a queue left unread across runs to several deadlines
+    // must retire by all of them at once.
+    if (rng.uniform_int(0, 1) == 0) observe();
+  }
+
+  Simulator sim;
+  L link;
+  util::Rng rng;
+  std::vector<std::int64_t> log;
+  std::vector<Time> departs;
+  Time busy_until = 0;
+  // Latest run() deadline. Deadlines and probe times never derive from
+  // now(): after a run stops at its deadline, now() is the last event's
+  // time, and the reference link's departures are events.
+  Time ran_to = 0;
+  std::int64_t sent = 0;
+  int probes_left = 400;
+};
+
+// Link retires its queue lazily, by the keys of the departure events it no
+// longer schedules. Against the link that schedules them, over a 4-packet
+// queue where every drop decision depends on the exact departure order,
+// every accept/drop, queue reading and delivery must agree.
+TEST(Link, LazyDeparturesMatchDepartureEvents) {
+  std::size_t drops = 0;
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    DepartureDriver<Link> lazy(seed);
+    DepartureDriver<EventLink> reference(seed);
+    std::size_t agreed = 0;  // log entries both have matched so far
+    const auto compare = [&](int op) {
+      const auto tail = [agreed](const std::vector<std::int64_t>& log) {
+        return std::vector<std::int64_t>(
+            log.begin() + static_cast<std::ptrdiff_t>(agreed), log.end());
+      };
+      ASSERT_EQ(tail(lazy.log), tail(reference.log))
+          << "seed " << seed << " op " << op;
+      agreed = lazy.log.size();
+    };
+    for (int op = 0; op < 300; ++op) {
+      lazy.op();
+      reference.op();
+      compare(op);
+      if (HasFatalFailure()) return;
+    }
+    lazy.sim.run();
+    reference.sim.run();
+    compare(-1);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(lazy.link.queued_bytes(), 0u);
+    drops += lazy.link.dropped_packets();
+    if (const auto v = fuzz::check_link_conservation(lazy.link)) {
+      FAIL() << *v << " seed " << seed;
+    }
+  }
+  EXPECT_GT(drops, 100u);  // the queue limit really decided things
 }
 
 // --------------------------------------------------------------------- tcp
@@ -604,6 +845,26 @@ TEST(Tcp, WarmDataPathAllocatesNothing) {
   EXPECT_EQ(h.server_received, 6 * upload.size());
   EXPECT_FALSE(h.mismatch);
   EXPECT_EQ(h.tcp->retransmissions(), 0u);
+  ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
+}
+
+// A packet costs one simulator event, its arrival: the link retires its
+// queue without departure events, and the RTO timer re-armed on every ACK
+// adds none. Streaming over a lossless link, executed events stay within
+// the packets delivered (data segments, ACKs, handshake) plus a few
+// timers.
+TEST(Tcp, OneEventPerPacket) {
+  TcpHarness h;
+  h.tcp->connect();
+  h.sim.run();
+  h.stream_pattern(1'000'000);
+  h.sim.run();
+  ASSERT_EQ(h.client_received, 1'000'000u);
+  EXPECT_EQ(h.tcp->retransmissions(), 0u);
+  const std::uint64_t packets =
+      h.down.delivered_packets() + h.up.delivered_packets();
+  EXPECT_GT(packets, 2 * (1'000'000u / TcpConfig{}.mss));
+  EXPECT_LE(h.sim.executed_events(), packets + 8);
   ASSERT_FALSE(h.checker.violation().has_value()) << *h.checker.violation();
 }
 
