@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification: the tier-1 build + test pass, then the simulator's
 # bit-exactness against the recorded sweep digests, the fig-level goldens
-# and the trace goldens (tests/golden/), then a warning-free Release build
+# and the trace goldens (tests/golden/), then a live soak bounding the
+# daemon's memory per request, then a warning-free Release build
 # (-Werror), then the same test suite under AddressSanitizer +
 # UndefinedBehaviorSanitizer, then the threaded runner tests under
 # ThreadSanitizer (separate build dir per sanitizer — sanitized objects are
@@ -9,7 +10,7 @@
 # excludes ASan).
 #
 #   scripts/check.sh            # tier-1 + digests + goldens + traces +
-#                               # -Werror + ASan/UBSan + TSan
+#                               # soak + -Werror + ASan/UBSan + TSan
 #   scripts/check.sh --fast     # tier-1 only
 #
 # Exits non-zero on the first failure.
@@ -109,6 +110,48 @@ if ! (cd "$trace_dir" && sha256sum --check --strict --quiet "$trace_sums"); then
   exit 1
 fi
 echo "trace goldens match"
+
+echo "=== live soak: daemon memory per request on one connection (build/) ==="
+# A connection keeps nothing for the streams it has closed, so one
+# h2pushload connection held open for ~10 s must not grow the daemon's
+# peak RSS (VmHWM) with the requests it serves. A connection that kept
+# its closed streams grew it by about 160 B per request; the bound is 16 B.
+cmake --build build -j "$jobs" --target h2pushd h2pushload >/dev/null
+soak_dir=$(mktemp -d)
+daemon_pid=
+trap 'rm -rf "$cache_dir" "$golden_dir" "$trace_dir" "$soak_dir";
+  [[ -n "$daemon_pid" ]] && kill "$daemon_pid" 2>/dev/null' EXIT
+./build/tools/h2pushd --port 0 2>"$soak_dir/daemon.err" &
+daemon_pid=$!
+port=
+for _ in $(seq 100); do
+  port=$(sed -n 's/^h2pushd: listening on [^:]*:\([0-9]*\) .*/\1/p' \
+    "$soak_dir/daemon.err")
+  [[ -n "$port" ]] && break
+  sleep 0.1
+done
+if [[ -z "$port" ]]; then
+  echo "h2pushd did not start:" >&2
+  cat "$soak_dir/daemon.err" >&2
+  exit 1
+fi
+vm_hwm_kb() { awk '/^VmHWM:/ {print $2}' "/proc/$daemon_pid/status"; }
+hwm_before=$(vm_hwm_kb)
+./build/tools/h2pushload --port "$port" --connections 1 --landing-only \
+  --duration 10 --json >"$soak_dir/load.json"
+hwm_after=$(vm_hwm_kb)
+kill -TERM "$daemon_pid"
+wait "$daemon_pid"
+daemon_pid=
+requests=$(sed -n 's/.*"requests_ok": \([0-9]*\).*/\1/p' "$soak_dir/load.json")
+growth=$(( (hwm_after - hwm_before) * 1024 ))
+echo "daemon VmHWM ${hwm_before} -> ${hwm_after} kB over ${requests} requests"
+if (( requests == 0 || growth > 16 * requests )); then
+  echo "daemon memory grows with requests served: $growth B" \
+    "over $requests requests (bound 16 B each)" >&2
+  exit 1
+fi
+echo "daemon memory per request: $(( growth / requests )) B (bound 16 B)"
 
 echo "=== warnings: Release build with -Werror (build-werror/) ==="
 # The optimiser sees more at -O3 than in the default RelWithDebInfo build

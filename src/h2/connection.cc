@@ -175,30 +175,18 @@ void Connection::connection_error(ErrorCode code, const std::string& message) {
   signal_write();
 }
 
-Connection::Stream& Connection::ensure_stream(std::uint32_t id) {
-  auto [it, inserted] = streams_.try_emplace(id);
-  if (inserted) {
-    it->second.send_window = peer_initial_window_;
-    it->second.recv_window = config_.initial_window;
-  }
-  return it->second;
+Connection::Stream& Connection::open_stream(std::uint32_t id) {
+  Stream& s = streams_[id];
+  s.send_window = peer_initial_window_;
+  s.recv_window = config_.initial_window;
+  return s;
 }
 
-void Connection::set_body_pending(Stream& s, bool pending) {
-  if (s.body_pending == pending) return;
-  s.body_pending = pending;
-  if (pending) {
-    s.pending_prev = nullptr;
-    s.pending_next = pending_head_;
-    if (pending_head_ != nullptr) pending_head_->pending_prev = &s;
-    pending_head_ = &s;
-    return;
-  }
-  (s.pending_prev != nullptr ? s.pending_prev->pending_next : pending_head_) =
-      s.pending_next;
-  if (s.pending_next != nullptr) s.pending_next->pending_prev = s.pending_prev;
-  s.pending_prev = nullptr;
-  s.pending_next = nullptr;
+void Connection::retire(StreamMap::iterator it) {
+  const std::uint32_t id = it->first;
+  if (it->second.body) --streams_with_body_;
+  streams_.erase(it);
+  scheduler_.on_stream_removed(id);
 }
 
 std::uint32_t Connection::submit_request(
@@ -207,9 +195,7 @@ std::uint32_t Connection::submit_request(
   start();
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
-  Stream& s = ensure_stream(id);
-  s.state = StreamState::kHalfClosedLocal;  // GET with END_STREAM
-  s.local_done = true;
+  open_stream(id).local_done = true;  // GET with END_STREAM
   queue_header_frame(id, headers, /*end_stream=*/true, priority);
   scheduler_.on_stream_added(id, priority.value_or(PrioritySpec{}));
   signal_write();
@@ -236,11 +222,8 @@ void Connection::submit_goaway(ErrorCode error, const std::string& debug_data) {
 }
 
 void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
-  Stream& s = ensure_stream(stream);
-  s.state = StreamState::kClosed;
-  set_body_pending(s, false);
+  if (auto it = streams_.find(stream); it != streams_.end()) retire(it);
   queue_control(Frame{RstStreamFrame{stream, error}});
-  scheduler_.on_stream_removed(stream);
   signal_write();
 }
 
@@ -248,15 +231,10 @@ std::uint32_t Connection::submit_push_promise(
     std::uint32_t parent, const http::HeaderBlock& request_headers) {
   assert(config_.role == Role::kServer);
   if (!peer_enable_push_) return 0;
-  auto pit = streams_.find(parent);
-  if (pit == streams_.end() || pit->second.state == StreamState::kClosed) {
-    return 0;
-  }
+  if (!streams_.contains(parent)) return 0;
   const std::uint32_t id = next_stream_id_;
   next_stream_id_ += 2;
-  Stream& s = ensure_stream(id);
-  s.state = StreamState::kReservedLocal;
-  s.remote_done = true;  // the peer never sends on a pushed stream
+  open_stream(id).remote_done = true;  // the peer never sends on a push
   queue_header_frame(parent, request_headers, /*end_stream=*/false,
                      std::nullopt, /*promised_id=*/id);
   // h2o: pushed streams depend on the associated (parent) stream.
@@ -269,23 +247,20 @@ void Connection::submit_response(std::uint32_t stream,
                                  const http::HeaderBlock& headers,
                                  Body body) {
   assert(config_.role == Role::kServer);
-  Stream& s = ensure_stream(stream);
-  if (s.state == StreamState::kClosed) return;  // e.g. client RST the push
-  if (s.state == StreamState::kReservedLocal) {
-    s.state = StreamState::kHalfClosedRemote;
-  }
+  auto it = streams_.find(stream);
+  if (it == streams_.end()) return;  // e.g. the client reset the push
+  Stream& s = it->second;
   const bool empty_body = !body || body->empty();
   queue_header_frame(stream, headers, /*end_stream=*/empty_body,
                      std::nullopt);
   if (empty_body) {
     s.local_done = true;
-    s.end_queued = true;
     scheduler_.on_stream_finished(stream);
     maybe_close(stream);
   } else {
+    if (!s.body) ++streams_with_body_;
     s.body = std::move(body);
     s.body_offset = 0;
-    set_body_pending(s, true);
   }
   signal_write();
 }
@@ -294,18 +269,20 @@ bool Connection::data_ready(std::uint32_t id) const {
   auto it = streams_.find(id);
   if (it == streams_.end()) return false;
   const Stream& s = it->second;
-  return s.body_pending && s.send_window > 0 && send_window_ > 0;
+  return s.body && s.send_window > 0 && send_window_ > 0;
 }
 
 bool Connection::send_quiescent() const {
-  return !control_pending() && pending_head_ == nullptr;
+  return !control_pending() && streams_with_body_ == 0;
 }
 
 bool Connection::want_write() const {
   if (control_pending()) return true;
-  if (send_window_ <= 0) return false;
-  for (const Stream* s = pending_head_; s != nullptr; s = s->pending_next) {
-    if (s->send_window > 0) return true;
+  // A client never has a body to send, and a server's live streams are
+  // mostly the ones with a body left.
+  if (send_window_ <= 0 || streams_with_body_ == 0) return false;
+  for (const auto& [id, s] : streams_) {
+    if (s.body && s.send_window > 0) return true;
   }
   return false;
 }
@@ -376,7 +353,6 @@ std::size_t Connection::produce_into(util::WireOut& out,
     s.body_offset += n;
     s.send_window -= static_cast<std::int64_t>(n);
     send_window_ -= static_cast<std::int64_t>(n);
-    s.data_sent += n;
     total_data_sent_ += n;
     scheduler_.on_data_sent(id, n);
     if (trace_) {
@@ -389,10 +365,9 @@ std::size_t Connection::produce_into(util::WireOut& out,
                       static_cast<double>(send_window_));
     }
     if (end_stream) {
-      set_body_pending(s, false);
       s.local_done = true;
-      s.end_queued = true;
       s.body.reset();
+      --streams_with_body_;
       scheduler_.on_stream_finished(id);
       maybe_close(id);
     }
@@ -402,13 +377,12 @@ std::size_t Connection::produce_into(util::WireOut& out,
 
 void Connection::maybe_close(std::uint32_t id) {
   auto it = streams_.find(id);
-  if (it == streams_.end()) return;
-  Stream& s = it->second;
-  if (s.local_done && s.remote_done && s.state != StreamState::kClosed) {
-    s.state = StreamState::kClosed;
-    scheduler_.on_stream_removed(id);
-    if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
+  if (it == streams_.end() || !it->second.local_done ||
+      !it->second.remote_done) {
+    return;
   }
+  retire(it);
+  if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
 }
 
 void Connection::receive(util::WireBytes bytes) {
@@ -504,14 +478,12 @@ void Connection::on_data(const DataView& f) {
                   static_cast<std::int64_t>(f.data.size()));
   }
   auto sit = streams_.find(f.stream_id);
-  if (sit == streams_.end()) {
+  if (sit == streams_.end() && !opened(f.stream_id)) {
     connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
     return;
   }
-  Stream& s = sit->second;
   // RFC 7540 §6.9: the whole frame payload, including padding, counts
-  // against flow control — even for streams we have already reset or
-  // half-closed.
+  // against flow control — even for streams already closed or reset.
   const auto n = static_cast<std::int64_t>(f.data.size() + f.padding_bytes);
   recv_window_ -= n;
   if (recv_window_ < 0) {
@@ -519,11 +491,13 @@ void Connection::on_data(const DataView& f) {
                      "connection flow control violated by peer");
     return;
   }
-  if (s.state == StreamState::kClosed) {
-    // Post-RST straggler: connection-level accounting only (§5.1).
+  if (sit == streams_.end()) {
+    // A straggler on a closed stream: connection-level accounting only
+    // (§5.1).
     recv_unacked_ += static_cast<std::uint64_t>(n);
     return;
   }
+  Stream& s = sit->second;
   if (s.remote_done) {
     // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
     submit_rst(f.stream_id, ErrorCode::kStreamClosed);
@@ -553,12 +527,7 @@ void Connection::on_data(const DataView& f) {
     recv_window_ += static_cast<std::int64_t>(recv_unacked_);
     recv_unacked_ = 0;
   }
-  if (f.end_stream) {
-    s.remote_done = true;
-    if (s.state == StreamState::kOpen) {
-      s.state = StreamState::kHalfClosedRemote;
-    }
-  }
+  if (f.end_stream) s.remote_done = true;
   if (callbacks_.on_data) {
     callbacks_.on_data(f.stream_id, f.data, f.end_stream);
   }
@@ -588,11 +557,16 @@ void Connection::on_header_block(const HeaderBlockView& f) {
   // Decode before any stream-level checks: the dynamic table must stay
   // synchronized even for blocks on doomed streams (§4.3).
   if (!decode_header_block(f.block)) return;
-  if (streams_.find(f.stream_id) == streams_.end()) {
+  auto it = streams_.find(f.stream_id);
+  Stream* s = it != streams_.end() ? &it->second : nullptr;
+  if (s == nullptr) {
     if (config_.role == Role::kClient) {
-      // Every legitimate response stream exists at the client (we opened
-      // it or the peer promised it).
-      connection_error(ErrorCode::kProtocolError, "HEADERS on idle stream");
+      // Every response stream is one we opened or the peer promised. One
+      // that has closed may still see HEADERS the peer sent before our
+      // RST_STREAM reached it (§5.1): dropped, its block decoded above.
+      if (!opened(f.stream_id)) {
+        connection_error(ErrorCode::kProtocolError, "HEADERS on idle stream");
+      }
       return;
     }
     if (f.stream_id % 2 == 0) {
@@ -606,32 +580,20 @@ void Connection::on_header_block(const HeaderBlockView& f) {
       return;
     }
     max_peer_stream_ = f.stream_id;
+    s = &open_stream(f.stream_id);
   }
-  Stream& s = ensure_stream(f.stream_id);
-  if (s.state == StreamState::kClosed) {
-    return;  // late HEADERS after RST: drop, keep HPACK state
-  }
-  if (s.remote_done) {
+  if (s->remote_done) {
     // §5.1 half-closed (remote): further HEADERS are a stream error of
     // type STREAM_CLOSED.
     submit_rst(f.stream_id, ErrorCode::kStreamClosed);
     return;
-  }
-  if (s.state == StreamState::kIdle) s.state = StreamState::kOpen;
-  if (s.state == StreamState::kReservedRemote) {
-    s.state = StreamState::kHalfClosedLocal;
   }
   if (f.priority) {
     scheduler_.on_reprioritized(f.stream_id, *f.priority);
   } else if (config_.role == Role::kServer) {
     scheduler_.on_stream_added(f.stream_id, PrioritySpec{});
   }
-  if (f.end_stream) {
-    s.remote_done = true;
-    if (s.state == StreamState::kOpen) {
-      s.state = StreamState::kHalfClosedRemote;
-    }
-  }
+  if (f.end_stream) s->remote_done = true;
   if (callbacks_.on_headers) {
     callbacks_.on_headers(f.stream_id, decoded_, f.end_stream);
   }
@@ -653,8 +615,7 @@ void Connection::on_push_promise(const HeaderBlockView& f) {
     return;
   }
   if (!decode_header_block(f.block)) return;
-  auto parent = streams_.find(f.stream_id);
-  if (parent == streams_.end()) {
+  if (!opened(f.stream_id)) {
     connection_error(ErrorCode::kProtocolError,
                      "PUSH_PROMISE on idle stream");
     return;
@@ -665,9 +626,7 @@ void Connection::on_push_promise(const HeaderBlockView& f) {
     return;
   }
   max_peer_stream_ = f.promised_id;
-  Stream& s = ensure_stream(f.promised_id);
-  s.state = StreamState::kReservedRemote;
-  s.local_done = true;  // we never send on a pushed stream
+  open_stream(f.promised_id).local_done = true;  // we never send on a push
   if (callbacks_.on_push_promise) {
     callbacks_.on_push_promise(f.stream_id, f.promised_id, decoded_);
   }
@@ -687,23 +646,22 @@ void Connection::on_frame(Frame&& frame) {
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           if (f.priority.depends_on == f.stream_id) {
             // §5.3.1: a stream cannot depend on itself — stream error.
-            if (streams_.find(f.stream_id) != streams_.end()) {
+            if (opened(f.stream_id)) {
               submit_rst(f.stream_id, ErrorCode::kProtocolError);
             }
             return;
           }
           scheduler_.on_reprioritized(f.stream_id, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          if (streams_.find(f.stream_id) == streams_.end()) {
-            connection_error(ErrorCode::kProtocolError,
-                             "RST_STREAM on idle stream");
-            return;
+          auto sit = streams_.find(f.stream_id);
+          if (sit == streams_.end()) {
+            if (!opened(f.stream_id)) {
+              connection_error(ErrorCode::kProtocolError,
+                               "RST_STREAM on idle stream");
+            }
+            return;  // closed already: nothing left to reset
           }
-          Stream& s = ensure_stream(f.stream_id);
-          s.state = StreamState::kClosed;
-          set_body_pending(s, false);
-          s.body.reset();
-          scheduler_.on_stream_removed(f.stream_id);
+          retire(sit);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           if (f.stream_id == 0) {
@@ -719,16 +677,17 @@ void Connection::on_frame(Frame&& frame) {
             }
           } else {
             auto sit = streams_.find(f.stream_id);
-            if (sit == streams_.end()) {
+            if (sit != streams_.end()) {
+              if (sit->second.send_window + f.increment > kMaxWindow) {
+                submit_rst(f.stream_id, ErrorCode::kFlowControlError);
+                return;
+              }
+              sit->second.send_window += f.increment;
+            } else if (!opened(f.stream_id)) {
               connection_error(ErrorCode::kProtocolError,
                                "WINDOW_UPDATE on idle stream");
               return;
-            }
-            if (sit->second.send_window + f.increment > kMaxWindow) {
-              submit_rst(f.stream_id, ErrorCode::kFlowControlError);
-              return;
-            }
-            sit->second.send_window += f.increment;
+            }  // else closed: ignored
           }
           signal_write();
         } else if constexpr (std::is_same_v<T, PingFrame>) {
@@ -751,21 +710,7 @@ void Connection::on_frame(Frame&& frame) {
 std::optional<std::string> Connection::check_invariants() const {
   if (recv_window_ < 0) return "connection recv window negative";
   if (send_window_ > kMaxWindow) return "connection send window above 2^31-1";
-  std::size_t pending = 0;
-  for (const Stream* s = pending_head_; s != nullptr; s = s->pending_next) {
-    if (!s->body_pending) return "pending list holds a stream without a body";
-    if ((s->pending_next != nullptr && s->pending_next->pending_prev != s) ||
-        (s == pending_head_) != (s->pending_prev == nullptr)) {
-      return "pending list links broken";
-    }
-    if (++pending > streams_.size()) return "pending list cycles";
-  }
-  for (const auto& [id, s] : streams_) {
-    if (s.body_pending && pending-- == 0) {
-      return "pending list misses a stream with a body";
-    }
-  }
-  if (pending != 0) return "pending list holds a stream twice";
+  std::size_t with_body = 0;
   for (const auto& [id, s] : streams_) {
     const std::string tag = " (stream " + std::to_string(id) + ")";
     if (s.recv_window < 0) return "stream recv window negative" + tag;
@@ -775,27 +720,12 @@ std::optional<std::string> Connection::check_invariants() const {
     if (s.body && s.body_offset > s.body->size()) {
       return "body cursor past end of body" + tag;
     }
-    if (s.body_pending && !s.body) return "pending body missing" + tag;
-    if (s.state == StreamState::kClosed && s.body_pending) {
-      return "closed stream still scheduled for DATA" + tag;
-    }
+    if (s.body) ++with_body;
+  }
+  if (with_body != streams_with_body_) {
+    return "count of streams with a body out of step";
   }
   return std::nullopt;
-}
-
-StreamState Connection::stream_state(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it == streams_.end() ? StreamState::kIdle : it->second.state;
-}
-
-std::uint64_t Connection::data_bytes_sent(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it == streams_.end() ? 0 : it->second.data_sent;
-}
-
-bool Connection::stream_send_finished(std::uint32_t stream) const {
-  auto it = streams_.find(stream);
-  return it != streams_.end() && it->second.end_queued;
 }
 
 }  // namespace h2push::h2

@@ -11,6 +11,13 @@
 // the per-stream and the connection window; the receive path auto-issues
 // WINDOW_UPDATEs assuming the application consumes data immediately (true
 // for both our browser and replay server).
+//
+// The stream table holds live streams only: a stream leaves it once both
+// sides are done with it or either side resets it, so a connection's
+// stream memory is bounded by its concurrent streams, not by the requests
+// it has served. Stream ids are never reused (§5.1.1), so each side's
+// high-water mark tells the rest apart: an id at or below the mark of the
+// side that opens it and not in the table is closed; one above is idle.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +41,6 @@ class TraceRecorder;
 namespace h2push::h2 {
 
 enum class Role : std::uint8_t { kClient, kServer };
-
-enum class StreamState : std::uint8_t {
-  kIdle,
-  kReservedLocal,   // we sent PUSH_PROMISE
-  kReservedRemote,  // we received PUSH_PROMISE
-  kOpen,
-  kHalfClosedLocal,
-  kHalfClosedRemote,
-  kClosed,
-};
 
 /// Immutable response body shared across runs (bytes are real content: the
 /// browser parses HTML/CSS bodies it receives through the connection).
@@ -85,7 +82,8 @@ class Connection : private FrameHandler {
     std::function<void(const std::string&)> on_connection_error;
     /// New bytes are available to write; the transport glue should pump.
     std::function<void()> on_write_ready;
-    /// A stream fully closed (both directions done).
+    /// A stream fully closed (both directions done); not called for a
+    /// stream either side reset.
     std::function<void(std::uint32_t stream)> on_stream_closed;
     /// Extension (non-RFC-7540) frame received, e.g. CACHE_DIGEST.
     std::function<void(const ExtensionFrame&)> on_extension_frame;
@@ -177,13 +175,16 @@ class Connection : private FrameHandler {
 
   // --- introspection ---
   bool push_enabled_by_peer() const noexcept { return peer_enable_push_; }
-  StreamState stream_state(std::uint32_t stream) const;
-  std::uint64_t data_bytes_sent(std::uint32_t stream) const;
+  /// True for a stream that was opened and has since closed or been
+  /// reset; false for a live stream and for an id not yet opened (idle).
+  bool stream_closed(std::uint32_t stream) const {
+    return opened(stream) && !streams_.contains(stream);
+  }
   std::uint64_t total_data_sent() const noexcept { return total_data_sent_; }
-  bool stream_send_finished(std::uint32_t stream) const;
   const std::string& last_error() const noexcept { return last_error_; }
   /// Error code of the GOAWAY we sent (kNoError while healthy).
   ErrorCode last_error_code() const noexcept { return last_error_code_; }
+  /// Live streams: opened and neither closed nor reset.
   std::size_t stream_count() const noexcept { return streams_.size(); }
   /// Bytes the frame parser copied to reassemble frames split across
   /// received chunks (FrameParser::copied_bytes).
@@ -193,28 +194,22 @@ class Connection : private FrameHandler {
 
   /// Self-check of the connection's accounting invariants (receive windows
   /// never negative, send windows within RFC bounds, body cursors inside
-  /// their bodies, closed streams hold no send state). Returns a
+  /// their bodies, the count of streams with a body in step). Returns a
   /// description of the first violation, or nullopt when consistent. Used
   /// by the fuzzing harness after every chunk of adversarial input.
   std::optional<std::string> check_invariants() const;
 
  private:
   struct Stream {
-    StreamState state = StreamState::kIdle;
     std::int64_t send_window = kDefaultInitialWindow;
     std::int64_t recv_window = kDefaultInitialWindow;
     std::uint64_t recv_unacked = 0;  // consumed but not yet window-updated
-    Body body;
+    Body body;  // set while response data is left to send
     std::size_t body_offset = 0;
-    bool body_pending = false;   // response submitted, data left to send
-    // Links in the list of streams with body_pending set (pending_head_).
-    Stream* pending_prev = nullptr;
-    Stream* pending_next = nullptr;
-    bool end_queued = false;     // END_STREAM emitted
-    std::uint64_t data_sent = 0;
     bool local_done = false;   // we will send no more
     bool remote_done = false;  // peer sent END_STREAM
   };
+  using StreamMap = std::map<std::uint32_t, Stream>;
 
   void queue_control(const Frame& frame);
   /// Encode `headers` into the reusable HPACK scratch buffer and queue a
@@ -237,10 +232,19 @@ class Connection : private FrameHandler {
   void trace_receive(std::string_view name, std::uint32_t stream,
                      std::int64_t bytes);
   void apply_remote_settings(const SettingsFrame& frame);
-  Stream& ensure_stream(std::uint32_t id);
-  /// Set s.body_pending, keeping the pending list in step with it.
-  void set_body_pending(Stream& s, bool pending);
+  /// Add a stream to the table with the windows in force.
+  Stream& open_stream(std::uint32_t id);
+  /// Erase a stream from the table (it closed or was reset) and drop it
+  /// from the scheduler.
+  void retire(StreamMap::iterator it);
+  /// Retire `id` once both sides are done with it.
   void maybe_close(std::uint32_t id);
+  /// Nonzero and at or below the high-water mark of the side that opens
+  /// `id`: the stream is live or closed, not idle.
+  bool opened(std::uint32_t id) const noexcept {
+    const bool ours = (id % 2 == 1) == (config_.role == Role::kClient);
+    return id != 0 && (ours ? id < next_stream_id_ : id <= max_peer_stream_);
+  }
   bool data_ready(std::uint32_t id) const;
   bool control_pending() const noexcept {
     return control_chunk_ < control_ends_.size();
@@ -257,14 +261,11 @@ class Connection : private FrameHandler {
   http::HeaderBlock decoded_;  // the last header block decoded, reused
   TreeScheduler scheduler_;
 
-  std::map<std::uint32_t, Stream> streams_;
-  // Streams with a body left to send, linked through their map nodes
-  // (which never move), so want_write() and send_quiescent() walk these
-  // instead of every stream the connection ever opened.
-  Stream* pending_head_ = nullptr;
+  StreamMap streams_;  // live streams only
+  std::size_t streams_with_body_ = 0;  // live streams whose body is set
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)
-  // Highest stream id the peer has opened / promised; lower unknown ids are
-  // idle-by-definition and frames on them are protocol errors (§5.1.1).
+  // Highest stream id the peer has opened / promised. Unknown ids above it
+  // are idle, and most frames on them are protocol errors (§5.1.1).
   std::uint32_t max_peer_stream_ = 0;
   bool preface_pending_ = false;  // server expects the client preface
   std::vector<std::uint8_t> preface_buf_;

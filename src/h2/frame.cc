@@ -97,17 +97,44 @@ class CollectingHandler final : public FrameHandler {
 
 /// Wire size of a HEADERS/PUSH_PROMISE carrying `block` bytes whose first
 /// frame has `first_cap` payload capacity, plus CONTINUATION overhead.
-std::size_t header_block_wire_size(std::size_t block, std::size_t first_cap,
-                                   std::uint32_t max_frame_size) {
-  if (block <= first_cap) return kFrameHeader + block;
-  std::size_t size = kFrameHeader + first_cap;
-  std::size_t remaining = block - first_cap;
-  while (remaining > 0) {
-    const std::size_t n = std::min<std::size_t>(max_frame_size, remaining);
-    size += kFrameHeader + n;
-    remaining -= n;
+/// Wire size of a HEADERS or PUSH_PROMISE frame whose payload is a
+/// `prefix`-byte field and then `block` header-block bytes, plus the
+/// CONTINUATIONs carrying what does not fit the first frame.
+std::size_t header_frames_size(std::size_t prefix, std::size_t block,
+                               std::uint32_t max_frame_size) {
+  const std::size_t first = std::min(block, max_frame_size - prefix);
+  std::size_t size = kFrameHeader + prefix + first;
+  for (std::size_t pos = first; pos < block; pos += max_frame_size) {
+    size += kFrameHeader + std::min<std::size_t>(max_frame_size, block - pos);
   }
   return size;
+}
+
+/// Append such a frame of `type`: its header, room for the prefix, as much
+/// of `block` as fits, then CONTINUATIONs; END_HEADERS goes on the last
+/// frame. Returns where the caller writes the prefix.
+std::uint8_t* append_header_frames(std::vector<std::uint8_t>& out,
+                                   FrameType type, std::uint8_t flags,
+                                   std::uint32_t stream_id, std::size_t prefix,
+                                   std::span<const std::uint8_t> block,
+                                   std::uint32_t max_frame_size) {
+  const std::size_t first = std::min(block.size(), max_frame_size - prefix);
+  if (first == block.size()) flags |= kFlagEndHeaders;
+  std::uint8_t* p =
+      grow(out, header_frames_size(prefix, block.size(), max_frame_size));
+  p = put_frame_header(p, prefix + first, type, flags, stream_id);
+  std::uint8_t* const prefix_at = p;
+  p = put_bytes(p + prefix, block.data(), first);
+  for (std::size_t pos = first; pos < block.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(max_frame_size, block.size() - pos);
+    const bool last = pos + n == block.size();
+    p = put_frame_header(p, n, FrameType::kContinuation,
+                         last ? kFlagEndHeaders : 0, stream_id);
+    p = put_bytes(p, block.data() + pos, n);
+    pos += n;
+  }
+  return prefix_at;
 }
 
 PrioritySpec get_priority(std::span<const std::uint8_t> in, std::size_t pos) {
@@ -151,10 +178,8 @@ std::size_t serialized_size(const Frame& frame,
         if constexpr (std::is_same_v<T, DataFrame>) {
           return kFrameHeader + f.data.size();
         } else if constexpr (std::is_same_v<T, HeadersFrame>) {
-          const std::size_t prio_len = f.priority ? 5 : 0;
-          return prio_len + header_block_wire_size(f.header_block.size(),
-                                                   max_frame_size - prio_len,
-                                                   max_frame_size);
+          return header_frames_size(f.priority ? 5 : 0,
+                                    f.header_block.size(), max_frame_size);
         } else if constexpr (std::is_same_v<T, PriorityFrame>) {
           return kFrameHeader + 5;
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
@@ -162,9 +187,8 @@ std::size_t serialized_size(const Frame& frame,
         } else if constexpr (std::is_same_v<T, SettingsFrame>) {
           return kFrameHeader + (f.ack ? 0 : f.settings.size() * 6);
         } else if constexpr (std::is_same_v<T, PushPromiseFrame>) {
-          return 4 + header_block_wire_size(f.header_block.size(),
-                                            max_frame_size - 4,
-                                            max_frame_size);
+          return header_frames_size(4, f.header_block.size(),
+                                    max_frame_size);
         } else if constexpr (std::is_same_v<T, PingFrame>) {
           return kFrameHeader + 8;
         } else if constexpr (std::is_same_v<T, GoawayFrame>) {
@@ -203,32 +227,12 @@ void append_headers_frame(std::vector<std::uint8_t>& out,
                           const std::optional<PrioritySpec>& priority,
                           std::span<const std::uint8_t> header_block,
                           std::uint32_t max_frame_size) {
-  const std::size_t prio_len = priority ? 5 : 0;
-  const std::size_t first_cap = max_frame_size - prio_len;
-  const bool fits = header_block.size() <= first_cap;
-  const std::size_t first_len = fits ? header_block.size() : first_cap;
-  std::uint8_t flags = 0;
-  if (end_stream) flags |= kFlagEndStream;
+  std::uint8_t flags = end_stream ? kFlagEndStream : 0;
   if (priority) flags |= kFlagPriority;
-  if (fits) flags |= kFlagEndHeaders;
-  std::uint8_t* p =
-      grow(out, prio_len + header_block_wire_size(header_block.size(),
-                                                  first_cap, max_frame_size));
-  p = put_frame_header(p, first_len + prio_len, FrameType::kHeaders, flags,
-                       stream_id);
-  if (priority) p = put_priority(p, *priority);
-  p = put_bytes(p, header_block.data(), first_len);
-  // CONTINUATION frames for the remainder.
-  std::size_t pos = first_len;
-  while (pos < header_block.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(max_frame_size, header_block.size() - pos);
-    const bool last = pos + n == header_block.size();
-    p = put_frame_header(p, n, FrameType::kContinuation,
-                         last ? kFlagEndHeaders : 0, stream_id);
-    p = put_bytes(p, header_block.data() + pos, n);
-    pos += n;
-  }
+  std::uint8_t* prefix =
+      append_header_frames(out, FrameType::kHeaders, flags, stream_id,
+                           priority ? 5 : 0, header_block, max_frame_size);
+  if (priority) put_priority(prefix, *priority);
 }
 
 void append_push_promise_frame(std::vector<std::uint8_t>& out,
@@ -236,26 +240,9 @@ void append_push_promise_frame(std::vector<std::uint8_t>& out,
                                std::uint32_t promised_id,
                                std::span<const std::uint8_t> header_block,
                                std::uint32_t max_frame_size) {
-  const std::size_t first_cap = max_frame_size - 4;
-  const bool fits = header_block.size() <= first_cap;
-  const std::size_t first_len = fits ? header_block.size() : first_cap;
-  std::uint8_t* p =
-      grow(out, 4 + header_block_wire_size(header_block.size(), first_cap,
-                                           max_frame_size));
-  p = put_frame_header(p, first_len + 4, FrameType::kPushPromise,
-                       fits ? kFlagEndHeaders : 0, stream_id);
-  p = put_u32(p, promised_id & 0x7fffffff);
-  p = put_bytes(p, header_block.data(), first_len);
-  std::size_t pos = first_len;
-  while (pos < header_block.size()) {
-    const std::size_t n =
-        std::min<std::size_t>(max_frame_size, header_block.size() - pos);
-    const bool last = pos + n == header_block.size();
-    p = put_frame_header(p, n, FrameType::kContinuation,
-                         last ? kFlagEndHeaders : 0, stream_id);
-    p = put_bytes(p, header_block.data() + pos, n);
-    pos += n;
-  }
+  put_u32(append_header_frames(out, FrameType::kPushPromise, 0, stream_id, 4,
+                               header_block, max_frame_size),
+          promised_id & 0x7fffffff);
 }
 
 void serialize_into(const Frame& frame, std::vector<std::uint8_t>& out,

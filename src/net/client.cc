@@ -162,7 +162,6 @@ fetch_urls(const std::string& addr, std::uint16_t port,
   conn.start();
 
   std::size_t next_url = 0;
-  std::size_t in_flight = 0;
   BlockingSendSink sink(fd);
   std::vector<std::uint8_t> in(64 * 1024);
   const std::uint64_t deadline =
@@ -177,23 +176,14 @@ fetch_urls(const std::string& addr, std::uint16_t port,
       util::posix::close_retry(fd);
       return util::make_unexpected("fetch timeout");
     }
+    // Requests submitted and not yet complete hold a stream slot each.
     while (next_url < urls.size() &&
-           in_flight < options.max_concurrent_streams) {
+           next_url - requests_done < options.max_concurrent_streams) {
       const auto& [host, path] = urls[next_url];
       const std::uint32_t id =
           conn.submit_request(request_headers(host, path));
       stream_to_url[id] = urls[next_url];
       ++next_url;
-      ++in_flight;
-    }
-    // Recount in-flight request streams (odd ids) so completions free slots.
-    in_flight = 0;
-    for (const auto& [stream, key] : stream_to_url) {
-      (void)key;
-      if (stream % 2 == 1 &&
-          conn.stream_state(stream) != h2::StreamState::kClosed) {
-        ++in_flight;
-      }
     }
     util::pump(conn, sink);
     if (sink.failed) {

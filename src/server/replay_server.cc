@@ -156,10 +156,10 @@ void ReplayServer::apply_push_policy(std::uint32_t parent_stream,
     }
     conn_->submit_response(promised, exchange->response.to_h2_headers(),
                            exchange->body);
-    // A critical push with nothing left to send (an empty body) must not
-    // wedge the parent.
+    // A critical push with nothing to send (an empty body) must not wedge
+    // the parent. Writes are corked, so a non-empty body is all unsent.
     if (policy.interleaving && index < policy.critical_count &&
-        !conn_->stream_send_finished(promised)) {
+        exchange->body && !exchange->body->empty()) {
       critical.insert(promised);
     }
     ++index;

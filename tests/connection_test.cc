@@ -116,8 +116,8 @@ TEST(Connection, BasicRequestResponse) {
   p.pump();
   EXPECT_EQ(p.body(id).size(), 5000u);
   EXPECT_TRUE(p.client_stream_done[id]);
-  EXPECT_EQ(p.client->stream_state(id), StreamState::kClosed);
-  EXPECT_EQ(p.server->stream_state(id), StreamState::kClosed);
+  EXPECT_TRUE(p.client->stream_closed(id));
+  EXPECT_TRUE(p.server->stream_closed(id));
 }
 
 TEST(Connection, EmptyBodyResponseClosesWithHeaders) {
@@ -199,7 +199,7 @@ TEST(Connection, ClientCanCancelPush) {
                             Pair::make_body(999));
   p.pump();
   EXPECT_TRUE(p.body(promised).empty());
-  EXPECT_EQ(p.server->stream_state(promised), StreamState::kClosed);
+  EXPECT_TRUE(p.server->stream_closed(promised));
 }
 
 TEST(Connection, PushPromiseOnClosedParentFails) {
@@ -259,8 +259,8 @@ TEST(Connection, DataBytesSentTracksPerStream) {
   p.server->submit_response(a, resp.to_h2_headers(), Pair::make_body(1000));
   p.server->submit_response(b, resp.to_h2_headers(), Pair::make_body(3000));
   p.pump();
-  EXPECT_EQ(p.server->data_bytes_sent(a), 1000u);
-  EXPECT_EQ(p.server->data_bytes_sent(b), 3000u);
+  EXPECT_EQ(p.body(a).size(), 1000u);
+  EXPECT_EQ(p.body(b).size(), 3000u);
   EXPECT_EQ(p.server->total_data_sent(), 4000u);
 }
 
@@ -646,7 +646,7 @@ TEST(Connection, ProduceIntoInterleavedWithReceiveStaysConsistent) {
     }
   }
   EXPECT_EQ(p.body(id).size(), 200000u);
-  EXPECT_EQ(p.server->stream_state(id), StreamState::kClosed);
+  EXPECT_TRUE(p.server->stream_closed(id));
 }
 
 TEST(Connection, SubmitGoawayLetsStreamsFinish) {
@@ -679,6 +679,84 @@ TEST(Connection, BadPrefaceIsRejected) {
   server.receive({reinterpret_cast<const std::uint8_t*>(bad.data()),
                   bad.size()});
   EXPECT_EQ(error, "bad client preface");
+}
+
+// Stream ids are never reused (RFC 7540 §5.1.1), so a closed stream needs
+// no entry: both ends retire each stream once it closes or is reset, and a
+// connection serving one exchange at a time holds at most one stream
+// however many it has served. The second half is the Rapid Reset pattern
+// (CVE-2023-44487): HEADERS then RST_STREAM, over and over.
+TEST(Connection, ClosedStreamsLeaveTheTable) {
+  constexpr std::size_t kExchanges = 100000;
+  constexpr std::size_t kConcurrent = 1;
+  std::size_t responses = 0;
+  Connection::Config cc;
+  cc.role = Role::kClient;
+  Connection::Callbacks ccb;
+  ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t>, bool fin) {
+    responses += fin ? 1 : 0;
+  };
+  Connection client(cc, std::move(ccb));
+  std::uint32_t last_request = 0;
+  std::size_t resets = 0;
+  Connection::Config sc;
+  sc.role = Role::kServer;
+  Connection::Callbacks scb;
+  scb.on_headers = [&](std::uint32_t stream, const http::HeaderBlock&,
+                       bool) { last_request = stream; };
+  scb.on_rst = [&](std::uint32_t, ErrorCode) { ++resets; };
+  Connection server(sc, std::move(scb));
+  client.start();
+  server.start();
+
+  std::vector<std::uint8_t> wire;
+  const auto shuttle = [&] {
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (auto [from, to] : {std::pair{&client, &server},
+                              std::pair{&server, &client}}) {
+        wire.clear();
+        from->produce_into(wire, 1 << 16, util::WriteCap::kSoft);
+        if (!wire.empty()) to->receive(wire);
+        moved = moved || !wire.empty();
+      }
+    }
+  };
+  const auto check = [&](std::size_t i) {
+    ASSERT_LE(client.stream_count(), kConcurrent) << "after exchange " << i;
+    ASSERT_LE(server.stream_count(), kConcurrent) << "after exchange " << i;
+    ASSERT_EQ(client.check_invariants(), std::nullopt);
+    ASSERT_EQ(server.check_invariants(), std::nullopt);
+  };
+  http::Request request;
+  request.url = http::Url{"https", "test.example", 443, "/r"};
+  const http::HeaderBlock request_headers = request.to_h2_headers();
+  const http::HeaderBlock response_headers = http::Response{}.to_h2_headers();
+  const Body body = Pair::make_body(100);
+  shuttle();
+
+  for (std::size_t i = 0; i < kExchanges; ++i) {
+    const std::uint32_t id = client.submit_request(request_headers);
+    shuttle();
+    ASSERT_EQ(last_request, id);
+    server.submit_response(id, response_headers, body);
+    shuttle();
+    ASSERT_NO_FATAL_FAILURE(check(i));
+  }
+  EXPECT_EQ(responses, kExchanges);
+
+  for (std::size_t i = 0; i < kExchanges; ++i) {
+    const std::uint32_t id = client.submit_request(request_headers);
+    client.submit_rst(id, ErrorCode::kCancel);
+    shuttle();
+    ASSERT_EQ(last_request, id);
+    ASSERT_NO_FATAL_FAILURE(check(kExchanges + i));
+  }
+  EXPECT_EQ(resets, kExchanges);
+  EXPECT_EQ(client.stream_count(), 0u);
+  EXPECT_EQ(server.stream_count(), 0u);
+  EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+  EXPECT_TRUE(server.last_error().empty()) << server.last_error();
 }
 
 // Once warm, moving DATA costs no heap work per frame on either side: the

@@ -38,6 +38,7 @@ struct ServerProbe {
   bool sent_goaway = false;
   ErrorCode goaway_code = ErrorCode::kNoError;
   std::size_t headers_seen = 0;
+  std::size_t rsts_received = 0;
   std::size_t produced = 0;
   h2::FrameParser out_parser;
   h2::Connection conn;
@@ -53,6 +54,9 @@ struct ServerProbe {
               h2::Connection::Callbacks cbs;
               cbs.on_headers = [this](std::uint32_t, http::HeaderBlock,
                                       bool) { ++headers_seen; };
+              cbs.on_rst = [this](std::uint32_t, ErrorCode) {
+                ++rsts_received;
+              };
               return cbs;
             }()) {
     conn.start();
@@ -381,6 +385,156 @@ TEST(ConnectionConformance, UnknownExtensionFramesAreIgnored) {
   EXPECT_EQ(probe.headers_seen, 1u);
 }
 
+// --- closed streams -------------------------------------------------------
+//
+// A stream leaves the connection's table once it closes or is reset. Ids
+// are never reused (§5.1.1), so an id at or below the high-water mark of
+// the side that opens it and not in the table is closed, and frames on it
+// are stragglers, not errors.
+
+std::vector<std::uint8_t> rst_stream(std::uint32_t stream) {
+  std::vector<std::uint8_t> wire;
+  h2::serialize_into(h2::Frame{h2::RstStreamFrame{stream, ErrorCode::kCancel}},
+                     wire);
+  return wire;
+}
+
+// DATA, WINDOW_UPDATE and RST_STREAM on a stream the client reset: no
+// GOAWAY, no RST back (even for a WINDOW_UPDATE that would overflow the
+// stream's window), on_rst fires once, and the DATA still counts against
+// the connection window (§6.9), which a fifth 16 KB frame overruns.
+TEST(ConnectionConformance, FramesOnRetiredStreamAreDropped) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/post"), false);
+  const auto rst = rst_stream(1);
+  wire.insert(wire.end(), rst.begin(), rst.end());
+  const std::vector<std::uint8_t> payload(16384, 'd');
+  for (int i = 0; i < 3; ++i) {
+    fuzz::append_raw_frame(wire, 16384, 0x0, 0, 1, payload);
+  }
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{1, h2::kMaxWindow}},
+                     wire);
+  wire.insert(wire.end(), rst.begin(), rst.end());
+  probe.feed(wire);
+  EXPECT_FALSE(probe.sent_goaway) << probe.conn.last_error();
+  EXPECT_TRUE(probe.resets.empty());
+  EXPECT_EQ(probe.rsts_received, 1u);
+  EXPECT_EQ(probe.conn.stream_count(), 0u);
+  EXPECT_TRUE(probe.conn.stream_closed(1));
+  EXPECT_FALSE(probe.conn.check_invariants().has_value());
+
+  std::vector<std::uint8_t> more;
+  for (int i = 0; i < 2; ++i) {
+    fuzz::append_raw_frame(more, 16384, 0x0, 0, 1, payload);
+  }
+  probe.feed(more);
+  EXPECT_TRUE(probe.sent_goaway);
+  EXPECT_EQ(probe.goaway_code, ErrorCode::kFlowControlError);
+}
+
+// A request the server has answered in full is retired; HEADERS on its id
+// again is a reused stream id, a connection PROTOCOL_ERROR (§5.1.1).
+TEST(ConnectionConformance, HeadersReusingRetiredIdIsProtocolError) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/first"), true);
+  probe.feed(wire);
+  probe.conn.submit_response(1, {{":status", "204"}}, nullptr);
+  probe.drain();
+  ASSERT_TRUE(probe.conn.stream_closed(1));
+  ASSERT_FALSE(probe.sent_goaway);
+
+  std::vector<std::uint8_t> again;
+  append_headers(again, 1, encoded_request(enc, "/again"), true);
+  probe.feed(again);
+  EXPECT_TRUE(probe.sent_goaway);
+  EXPECT_EQ(probe.goaway_code, ErrorCode::kProtocolError);
+  EXPECT_EQ(probe.headers_seen, 1u);
+}
+
+// Ids the client skipped below its mark were never opened, but they can
+// never open later either: they count as closed, so frames on them are
+// dropped like frames on any closed stream.
+TEST(ConnectionConformance, SkippedStreamIdsAreClosed) {
+  ServerProbe probe;
+  auto wire = preface_and_settings();
+  h2::HpackEncoder enc;
+  append_headers(wire, 1, encoded_request(enc, "/one"), true);
+  append_headers(wire, 5, encoded_request(enc, "/five"), true);
+  const std::vector<std::uint8_t> payload{'x'};
+  fuzz::append_raw_frame(wire, 1, 0x0, 0, 3, payload);
+  h2::serialize_into(h2::Frame{h2::WindowUpdateFrame{3, 100}}, wire);
+  const auto rst = rst_stream(3);
+  wire.insert(wire.end(), rst.begin(), rst.end());
+  probe.feed(wire);
+  EXPECT_FALSE(probe.sent_goaway) << probe.conn.last_error();
+  EXPECT_TRUE(probe.conn.stream_closed(3));
+  EXPECT_FALSE(probe.conn.stream_closed(7));  // above the mark: idle
+  EXPECT_EQ(probe.rsts_received, 0u);
+  EXPECT_EQ(probe.conn.stream_count(), 2u);
+}
+
+// The client side: response HEADERS and DATA for a push the client reset,
+// and for a request it reset, arrive after its RST_STREAM. They are dropped,
+// but every header block is still decoded: the next response references a
+// dynamic-table entry that only the dropped push response added.
+TEST(ConnectionConformance, ResponsesOnResetStreamsAreDroppedInHpackSync) {
+  std::map<std::uint32_t, std::string> marker;  // stream -> x-marker value
+  std::size_t data_frames = 0;
+  h2::Connection::Config cc;
+  cc.role = h2::Role::kClient;
+  h2::Connection::Callbacks ccb;
+  ccb.on_headers = [&](std::uint32_t stream, const http::HeaderBlock& h,
+                       bool) {
+    marker[stream] = std::string(http::find_header(h, "x-marker"));
+  };
+  ccb.on_data = [&](std::uint32_t, std::span<const std::uint8_t>, bool) {
+    ++data_frames;
+  };
+  h2::Connection client(cc, std::move(ccb));
+  h2::Connection::Config sc;
+  sc.role = h2::Role::kServer;
+  h2::Connection server(sc, {});
+  const auto deliver = [](h2::Connection& from, h2::Connection& to) {
+    to.receive(from.produce(1 << 20));
+  };
+  client.start();
+  server.start();
+  const http::HeaderBlock request{{":method", "GET"},
+                                  {":scheme", "https"},
+                                  {":authority", "fuzz.example"},
+                                  {":path", "/"}};
+  const std::uint32_t parent = client.submit_request(request);
+  const std::uint32_t cancelled = client.submit_request(request);
+  deliver(client, server);
+  deliver(server, client);
+  const std::uint32_t push = server.submit_push_promise(parent, request);
+  ASSERT_NE(push, 0u);
+  deliver(server, client);
+  ASSERT_FALSE(client.stream_closed(push));
+
+  client.submit_rst(push, ErrorCode::kCancel);
+  client.submit_rst(cancelled, ErrorCode::kCancel);
+  const auto body = std::make_shared<const std::string>(100, 'b');
+  server.submit_response(push, {{":status", "200"}, {"x-marker", "m1"}},
+                         body);
+  server.submit_response(cancelled, {{":status", "200"}, {"x-marker", "m2"}},
+                         body);
+  server.submit_response(parent, {{":status", "200"}, {"x-marker", "m1"}},
+                         body);
+  deliver(server, client);  // the server has not seen the resets yet
+
+  EXPECT_TRUE(client.last_error().empty()) << client.last_error();
+  EXPECT_EQ(marker.count(push), 0u);
+  EXPECT_EQ(marker.count(cancelled), 0u);
+  EXPECT_EQ(marker[parent], "m1");
+  EXPECT_EQ(data_frames, 1u);
+  EXPECT_EQ(client.stream_count(), 0u);
+}
+
 // --- seeded mini-fuzz through the full harness ---------------------------
 
 TEST(FuzzConnection, ValidTrafficIsAlwaysAccepted) {
@@ -404,10 +558,9 @@ TEST(FuzzConnection, ValidTrafficIsAlwaysAccepted) {
     EXPECT_TRUE(result.resets.empty()) << seed_msg(seed);
     EXPECT_EQ(result.requests_seen, traffic.request_streams.size())
         << seed_msg(seed);
-    // No stream leak: the server tracks at most the streams the client
-    // actually opened (closed ones legitimately stay for late frames).
-    EXPECT_LE(result.final_stream_count, traffic.request_streams.size())
-        << seed_msg(seed);
+    // No stream leak: every request was answered in full, and a closed
+    // stream leaves the table.
+    EXPECT_EQ(result.final_stream_count, 0u) << seed_msg(seed);
   }
 }
 

@@ -205,7 +205,7 @@ std::string tcp_like_stream(bool reentrant, int* max_depth) {
   f.client.receive(sink.wire);
   EXPECT_TRUE(f.client.last_error().empty()) << f.client.last_error();
   for (const auto id : f.streams) {
-    EXPECT_EQ(f.client.stream_state(id), h2::StreamState::kClosed);
+    EXPECT_TRUE(f.client.stream_closed(id));
   }
   *max_depth = sink.max_depth;
   return std::string(sink.wire.begin(), sink.wire.end());
