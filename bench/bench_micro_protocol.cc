@@ -5,9 +5,11 @@
 // page loads).
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <string_view>
 #include <vector>
 
+#include "browser/fetch.h"
 #include "core/memo.h"
 #include "core/strategy.h"
 #include "core/testbed.h"
@@ -109,6 +111,65 @@ void BM_PriorityTreePick(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PriorityTreePick)->Arg(16)->Arg(128);
+
+// The extremes of a fig2b sweep's trees in one: Chromium's exclusive chain
+// (each request depends exclusively on the one before it) 60 streams deep
+// from the HTML, with the HTML's 188 promised pushes, which the chain
+// adopted on its way down, at the bottom. The HTML and the first ten
+// requests are done, so each pick probes its way down to the eleventh.
+void BM_PriorityTreePickChromiumChain(benchmark::State& state) {
+  h2::PriorityTree tree;
+  tree.add(1, h2::PrioritySpec{0, 256, true});
+  for (std::uint32_t push = 2; push <= 2 * 188; push += 2) {
+    tree.add(push, h2::PrioritySpec{1, 16, false});
+  }
+  std::uint32_t prev = 1;
+  for (std::uint32_t id = 3; id < 1 + 2 * 60; id += 2) {
+    tree.add(id, h2::PrioritySpec{prev, 220, true});
+    prev = id;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tree.pick([](std::uint32_t id) { return id % 2 == 1 && id > 21; }));
+  }
+}
+BENCHMARK(BM_PriorityTreePickChromiumChain);
+
+// One connection's HPACK work as a sweep load does it: a fresh encoder and
+// decoder per direction, then range(0) requests with the browser's header
+// set and their responses (a fig2b connection carries 9 on average).
+void BM_HpackConnection(benchmark::State& state) {
+  const auto blocks = static_cast<std::size_t>(state.range(0));
+  const std::string host = "www.example.com";
+  std::vector<http::HeaderBlock> requests;
+  std::vector<http::HeaderBlock> responses;
+  for (std::size_t i = 0; i < blocks; ++i) {
+    http::Request request;
+    request.url = http::Url{"https", host, 443,
+                            "/static/asset-" + std::to_string(i) + ".js"};
+    request.headers = browser::default_request_headers(host);
+    requests.push_back(request.to_h2_headers());
+    http::Response response;
+    response.type = static_cast<http::ResourceType>(i % 5);
+    response.body_size = 1000 + 7919 * i;
+    responses.push_back(response.to_h2_headers());
+  }
+  std::vector<std::uint8_t> wire;
+  http::HeaderBlock decoded;
+  for (auto _ : state) {
+    h2::HpackEncoder client_encoder, server_encoder;
+    h2::HpackDecoder client_decoder, server_decoder;
+    for (std::size_t i = 0; i < blocks; ++i) {
+      client_encoder.encode_into(requests[i], wire);
+      benchmark::DoNotOptimize(server_decoder.decode_into(wire, decoded));
+      server_encoder.encode_into(responses[i], wire);
+      benchmark::DoNotOptimize(client_decoder.decode_into(wire, decoded));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * blocks));
+}
+BENCHMARK(BM_HpackConnection)->Arg(9);
 
 void BM_PageLoad(benchmark::State& state) {
   const auto profile = web::PopulationProfile::random100();

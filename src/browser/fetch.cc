@@ -218,13 +218,13 @@ void FetchManager::trace_fetch_begin(Fetch& fetch) {
                               {"priority", static_cast<int>(fetch.priority_)}});
 }
 
-http::Request FetchManager::request_for(const Fetch& fetch) const {
-  http::Request req;
-  req.url = fetch.url_;
+http::HeaderBlock default_request_headers(std::string_view primary_host) {
   // Realistic 2018 request headers: the first request on a connection
   // costs several hundred uplink bytes; HPACK's dynamic table compresses
   // the repeats (H2), while H1 resends them in full every time.
-  req.headers = {
+  std::string referer = "https://";
+  referer.append(primary_host).append("/");
+  return {
       {"user-agent",
        "Mozilla/5.0 (X11; Linux x86_64) AppleWebKit/537.36 (KHTML, like "
        "Gecko) Chrome/64.0.3282.119 Safari/537.36"},
@@ -233,11 +233,17 @@ http::Request FetchManager::request_for(const Fetch& fetch) const {
        "image/apng,*/*;q=0.8"},
       {"accept-language", "en-US,en;q=0.9"},
       {"accept-encoding", "gzip, deflate, br"},
-      {"referer", "https://" + primary_host_ + "/"},
+      {"referer", std::move(referer)},
       {"cookie",
        "sid=a1b2c3d4e5f60718293a4b5c6d7e8f90; prefs=layout%3Dwide%3Btheme%"
        "3Dlight; _ga=GA1.2.1234567890.1516239022; consent=accepted"},
   };
+}
+
+http::Request FetchManager::request_for(const Fetch& fetch) const {
+  http::Request req;
+  req.url = fetch.url_;
+  req.headers = default_request_headers(primary_host_);
   return req;
 }
 

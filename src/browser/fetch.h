@@ -122,6 +122,11 @@ class Fetch {
   std::uint64_t trace_id_ = 0;  // async-span id (fetch index, 1-based)
 };
 
+/// The headers every request carries besides its pseudo-headers, the
+/// same on every request of a page load (only the referer names the page's
+/// host).
+http::HeaderBlock default_request_headers(std::string_view primary_host);
+
 class FetchManager {
  public:
   FetchManager(sim::Simulator& sim, const BrowserConfig& config,

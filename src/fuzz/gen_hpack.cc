@@ -29,7 +29,9 @@ http::Header header_at(const h2::HpackDynamicTable& shadow,
     const auto [name, value] = h2::hpack_static_at(index);
     return {std::string(name), std::string(value)};
   }
-  return shadow.at(index - h2::hpack_static_table_size() - 1);
+  const auto [name, value] =
+      shadow.at(index - h2::hpack_static_table_size() - 1);
+  return {std::string(name), std::string(value)};
 }
 
 std::string random_name(Random& r) {

@@ -58,8 +58,12 @@ std::optional<std::string> tables_equal(const h2::HpackDynamicTable& a,
   }
   for (std::size_t i = 0; i < a.entry_count(); ++i) {
     if (!(a.at(i) == b.at(i))) {
-      return "entry " + std::to_string(i) + " differs: " + a.at(i).name +
-             "=" + a.at(i).value + " vs " + b.at(i).name + "=" + b.at(i).value;
+      const auto [an, av] = a.at(i);
+      const auto [bn, bv] = b.at(i);
+      std::string message = "entry " + std::to_string(i) + " differs: ";
+      message.append(an).append("=").append(av).append(" vs ");
+      message.append(bn).append("=").append(bv);
+      return message;
     }
   }
   return std::nullopt;

@@ -176,16 +176,15 @@ void Connection::connection_error(ErrorCode code, const std::string& message) {
 }
 
 Connection::Stream& Connection::open_stream(std::uint32_t id) {
-  Stream& s = streams_[id];
+  Stream& s = streams_.at(streams_.insert(id));
   s.send_window = peer_initial_window_;
   s.recv_window = config_.initial_window;
   return s;
 }
 
-void Connection::retire(StreamMap::iterator it) {
-  const std::uint32_t id = it->first;
-  if (it->second.body) --streams_with_body_;
-  streams_.erase(it);
+void Connection::retire(std::uint32_t id, const Stream& s) {
+  if (s.body) --streams_with_body_;
+  streams_.erase(id);
   scheduler_.on_stream_removed(id);
 }
 
@@ -222,7 +221,7 @@ void Connection::submit_goaway(ErrorCode error, const std::string& debug_data) {
 }
 
 void Connection::submit_rst(std::uint32_t stream, ErrorCode error) {
-  if (auto it = streams_.find(stream); it != streams_.end()) retire(it);
+  if (const Stream* s = streams_.find(stream)) retire(stream, *s);
   queue_control(Frame{RstStreamFrame{stream, error}});
   signal_write();
 }
@@ -247,9 +246,9 @@ void Connection::submit_response(std::uint32_t stream,
                                  const http::HeaderBlock& headers,
                                  Body body) {
   assert(config_.role == Role::kServer);
-  auto it = streams_.find(stream);
-  if (it == streams_.end()) return;  // e.g. the client reset the push
-  Stream& s = it->second;
+  Stream* found = streams_.find(stream);
+  if (found == nullptr) return;  // e.g. the client reset the push
+  Stream& s = *found;
   const bool empty_body = !body || body->empty();
   queue_header_frame(stream, headers, /*end_stream=*/empty_body,
                      std::nullopt);
@@ -266,10 +265,8 @@ void Connection::submit_response(std::uint32_t stream,
 }
 
 bool Connection::data_ready(std::uint32_t id) const {
-  auto it = streams_.find(id);
-  if (it == streams_.end()) return false;
-  const Stream& s = it->second;
-  return s.body && s.send_window > 0 && send_window_ > 0;
+  const Stream* s = streams_.find(id);
+  return s != nullptr && s->body && s->send_window > 0 && send_window_ > 0;
 }
 
 bool Connection::send_quiescent() const {
@@ -281,10 +278,9 @@ bool Connection::want_write() const {
   // A client never has a body to send, and a server's live streams are
   // mostly the ones with a body left.
   if (send_window_ <= 0 || streams_with_body_ == 0) return false;
-  for (const auto& [id, s] : streams_) {
-    if (s.body && s.send_window > 0) return true;
-  }
-  return false;
+  return streams_.any_of([](std::uint32_t, const Stream& s) {
+    return s.body && s.send_window > 0;
+  });
 }
 
 std::vector<std::uint8_t> Connection::produce(std::size_t max_bytes) {
@@ -331,7 +327,7 @@ std::size_t Connection::produce_into(util::WireOut& out,
                       {{"from", last_data_stream_}, {"to", id}});
       last_data_stream_ = id;
     }
-    Stream& s = streams_.at(id);
+    Stream& s = *streams_.find(id);
     const std::size_t remaining = s.body->size() - s.body_offset;
     std::size_t n = std::min<std::size_t>(remaining, peer_max_frame_size_);
     n = std::min<std::size_t>(n, static_cast<std::size_t>(s.send_window));
@@ -376,12 +372,9 @@ std::size_t Connection::produce_into(util::WireOut& out,
 }
 
 void Connection::maybe_close(std::uint32_t id) {
-  auto it = streams_.find(id);
-  if (it == streams_.end() || !it->second.local_done ||
-      !it->second.remote_done) {
-    return;
-  }
-  retire(it);
+  const Stream* s = streams_.find(id);
+  if (s == nullptr || !s->local_done || !s->remote_done) return;
+  retire(id, *s);
   if (callbacks_.on_stream_closed) callbacks_.on_stream_closed(id);
 }
 
@@ -439,7 +432,8 @@ void Connection::apply_remote_settings(const SettingsFrame& frame) {
             static_cast<std::int64_t>(value) -
             static_cast<std::int64_t>(peer_initial_window_);
         peer_initial_window_ = value;
-        for (auto& [sid, s] : streams_) s.send_window += delta;
+        streams_.for_each(
+            [delta](std::uint32_t, Stream& s) { s.send_window += delta; });
         break;
       }
       case SettingsId::kMaxFrameSize:
@@ -477,8 +471,8 @@ void Connection::on_data(const DataView& f) {
     trace_receive(to_string(FrameType::kData), f.stream_id,
                   static_cast<std::int64_t>(f.data.size()));
   }
-  auto sit = streams_.find(f.stream_id);
-  if (sit == streams_.end() && !opened(f.stream_id)) {
+  Stream* found = streams_.find(f.stream_id);
+  if (found == nullptr && !opened(f.stream_id)) {
     connection_error(ErrorCode::kProtocolError, "DATA on idle stream");
     return;
   }
@@ -491,13 +485,13 @@ void Connection::on_data(const DataView& f) {
                      "connection flow control violated by peer");
     return;
   }
-  if (sit == streams_.end()) {
+  if (found == nullptr) {
     // A straggler on a closed stream: connection-level accounting only
     // (§5.1).
     recv_unacked_ += static_cast<std::uint64_t>(n);
     return;
   }
-  Stream& s = sit->second;
+  Stream& s = *found;
   if (s.remote_done) {
     // §5.1 half-closed (remote): DATA is a STREAM_CLOSED error.
     submit_rst(f.stream_id, ErrorCode::kStreamClosed);
@@ -557,8 +551,7 @@ void Connection::on_header_block(const HeaderBlockView& f) {
   // Decode before any stream-level checks: the dynamic table must stay
   // synchronized even for blocks on doomed streams (§4.3).
   if (!decode_header_block(f.block)) return;
-  auto it = streams_.find(f.stream_id);
-  Stream* s = it != streams_.end() ? &it->second : nullptr;
+  Stream* s = streams_.find(f.stream_id);
   if (s == nullptr) {
     if (config_.role == Role::kClient) {
       // Every response stream is one we opened or the peer promised. One
@@ -588,8 +581,9 @@ void Connection::on_header_block(const HeaderBlockView& f) {
     submit_rst(f.stream_id, ErrorCode::kStreamClosed);
     return;
   }
+  // The stream is open: a node it has in the tree stops being idle.
   if (f.priority) {
-    scheduler_.on_reprioritized(f.stream_id, *f.priority);
+    scheduler_.on_stream_added(f.stream_id, *f.priority);
   } else if (config_.role == Role::kServer) {
     scheduler_.on_stream_added(f.stream_id, PrioritySpec{});
   }
@@ -653,15 +647,15 @@ void Connection::on_frame(Frame&& frame) {
           }
           scheduler_.on_reprioritized(f.stream_id, f.priority);
         } else if constexpr (std::is_same_v<T, RstStreamFrame>) {
-          auto sit = streams_.find(f.stream_id);
-          if (sit == streams_.end()) {
+          const Stream* s = streams_.find(f.stream_id);
+          if (s == nullptr) {
             if (!opened(f.stream_id)) {
               connection_error(ErrorCode::kProtocolError,
                                "RST_STREAM on idle stream");
             }
             return;  // closed already: nothing left to reset
           }
-          retire(sit);
+          retire(f.stream_id, *s);
           if (callbacks_.on_rst) callbacks_.on_rst(f.stream_id, f.error);
         } else if constexpr (std::is_same_v<T, WindowUpdateFrame>) {
           if (f.stream_id == 0) {
@@ -676,13 +670,12 @@ void Connection::on_frame(Frame&& frame) {
                               static_cast<double>(send_window_));
             }
           } else {
-            auto sit = streams_.find(f.stream_id);
-            if (sit != streams_.end()) {
-              if (sit->second.send_window + f.increment > kMaxWindow) {
+            if (Stream* s = streams_.find(f.stream_id)) {
+              if (s->send_window + f.increment > kMaxWindow) {
                 submit_rst(f.stream_id, ErrorCode::kFlowControlError);
                 return;
               }
-              sit->second.send_window += f.increment;
+              s->send_window += f.increment;
             } else if (!opened(f.stream_id)) {
               connection_error(ErrorCode::kProtocolError,
                                "WINDOW_UPDATE on idle stream");
@@ -711,17 +704,20 @@ std::optional<std::string> Connection::check_invariants() const {
   if (recv_window_ < 0) return "connection recv window negative";
   if (send_window_ > kMaxWindow) return "connection send window above 2^31-1";
   std::size_t with_body = 0;
-  for (const auto& [id, s] : streams_) {
-    const std::string tag = " (stream " + std::to_string(id) + ")";
-    if (s.recv_window < 0) return "stream recv window negative" + tag;
-    if (s.send_window > kMaxWindow) {
-      return "stream send window above 2^31-1" + tag;
-    }
-    if (s.body && s.body_offset > s.body->size()) {
-      return "body cursor past end of body" + tag;
+  std::optional<std::string> violation;
+  streams_.any_of([&](std::uint32_t id, const Stream& s) {
+    const auto tag = [id] { return " (stream " + std::to_string(id) + ")"; };
+    if (s.recv_window < 0) {
+      violation = "stream recv window negative" + tag();
+    } else if (s.send_window > kMaxWindow) {
+      violation = "stream send window above 2^31-1" + tag();
+    } else if (s.body && s.body_offset > s.body->size()) {
+      violation = "body cursor past end of body" + tag();
     }
     if (s.body) ++with_body;
-  }
+    return violation.has_value();
+  });
+  if (violation) return violation;
   if (with_body != streams_with_body_) {
     return "count of streams with a body out of step";
   }

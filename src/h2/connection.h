@@ -22,7 +22,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -32,6 +31,7 @@
 #include "h2/hpack.h"
 #include "h2/priority.h"
 #include "http/message.h"
+#include "util/id_map.h"
 #include "util/pump.h"
 
 namespace h2push::trace {
@@ -209,7 +209,6 @@ class Connection : private FrameHandler {
     bool local_done = false;   // we will send no more
     bool remote_done = false;  // peer sent END_STREAM
   };
-  using StreamMap = std::map<std::uint32_t, Stream>;
 
   void queue_control(const Frame& frame);
   /// Encode `headers` into the reusable HPACK scratch buffer and queue a
@@ -234,9 +233,9 @@ class Connection : private FrameHandler {
   void apply_remote_settings(const SettingsFrame& frame);
   /// Add a stream to the table with the windows in force.
   Stream& open_stream(std::uint32_t id);
-  /// Erase a stream from the table (it closed or was reset) and drop it
-  /// from the scheduler.
-  void retire(StreamMap::iterator it);
+  /// Erase stream `id`, which is `s`, from the table (it closed or was
+  /// reset) and drop it from the scheduler.
+  void retire(std::uint32_t id, const Stream& s);
   /// Retire `id` once both sides are done with it.
   void maybe_close(std::uint32_t id);
   /// Nonzero and at or below the high-water mark of the side that opens
@@ -261,7 +260,9 @@ class Connection : private FrameHandler {
   http::HeaderBlock decoded_;  // the last header block decoded, reused
   TreeScheduler scheduler_;
 
-  StreamMap streams_;  // live streams only
+  // Live streams only, in no useful order. Opening a stream may move the
+  // others: hold no Stream& across open_stream() or a callback.
+  util::IdMap<Stream> streams_;
   std::size_t streams_with_body_ = 0;  // live streams whose body is set
   std::uint32_t next_stream_id_;  // odd (client) / even (server pushes)
   // Highest stream id the peer has opened / promised. Unknown ids above it

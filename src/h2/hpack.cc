@@ -1,7 +1,11 @@
 #include "h2/hpack.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cassert>
+#include <cstring>
+#include <memory>
 
 #include "h2/hpack_huffman.h"
 
@@ -76,6 +80,35 @@ constexpr std::array<std::pair<std::string_view, std::string_view>, 61>
 
 constexpr std::size_t kEntryOverhead = 32;
 
+/// A hash of a string's length and its first and last 8 bytes: constant
+/// time per string, where a byte-wise hash of long values (cookies, user
+/// agents) costs more than the table scan it replaces.
+std::uint64_t quick_hash(std::string_view s) noexcept {
+  // Fixed-size loads only (a variable-length memcpy is a library call).
+  std::uint64_t head = 0;
+  std::uint64_t tail = 0;
+  const std::size_t n = s.size();
+  const char* p = s.data();
+  if (n >= 8) {
+    std::memcpy(&head, p, 8);
+    std::memcpy(&tail, p + n - 8, 8);
+  } else if (n >= 4) {
+    std::uint32_t first = 0;
+    std::uint32_t last = 0;
+    std::memcpy(&first, p, 4);
+    std::memcpy(&last, p + n - 4, 4);
+    head = (std::uint64_t{first} << 32) | last;
+  } else if (n > 0) {
+    head = (std::uint64_t{static_cast<std::uint8_t>(p[0])} << 16) |
+           (std::uint64_t{static_cast<std::uint8_t>(p[n / 2])} << 8) |
+           static_cast<std::uint8_t>(p[n - 1]);
+  }
+  std::uint64_t h = (head ^ (n * 0x9e3779b97f4a7c15ULL)) * 0xff51afd7ed558ccd;
+  h ^= h >> 32;
+  h = (h ^ tail) * 0xc4ceb9fe1a85ec53ULL;
+  return h ^ (h >> 29);
+}
+
 /// The static table by name: an open-addressed hash of each distinct name
 /// to the run of entries carrying it (entries sharing a name are adjacent
 /// in Appendix A), so the encoder's lookup is one hash and one compare
@@ -111,11 +144,7 @@ class StaticIndex {
   static constexpr std::size_t kSlots = 128;  // > 2x the 52 distinct names
 
   std::size_t probe(std::string_view name) const {
-    std::uint32_t h = 2166136261u;  // FNV-1a
-    for (const char c : name) {
-      h = (h ^ static_cast<std::uint8_t>(c)) * 16777619u;
-    }
-    std::size_t i = h % kSlots;
+    std::size_t i = static_cast<std::size_t>(quick_hash(name) % kSlots);
     while (slots_[i].count != 0 && slots_[i].name != name) {
       i = (i + 1) % kSlots;
     }
@@ -204,7 +233,28 @@ util::Expected<std::uint64_t, std::string> hpack_decode_int(
   return value;
 }
 
+namespace {
+
+std::uint64_t field_hash(std::uint64_t name_hash, std::string_view value) {
+  const std::uint64_t h =
+      (name_hash ^ std::rotl(quick_hash(value), 17)) * 0x9e3779b97f4a7c15ULL;
+  return h ^ (h >> 32);
+}
+
+constexpr int kBucketBits = 6;  // log2(HpackDynamicTable::kBuckets)
+
+std::size_t bucket_of(std::uint64_t hash) noexcept {
+  return static_cast<std::size_t>(hash >> (64 - kBucketBits));
+}
+
+std::uint32_t tag_of(std::uint64_t hash) noexcept {
+  return static_cast<std::uint32_t>(hash);
+}
+
+}  // namespace
+
 void HpackDynamicTable::add(std::string_view name, std::string_view value) {
+  static_assert(kBuckets == std::size_t{1} << kBucketBits);
   const std::size_t entry_size = name.size() + value.size() + kEntryOverhead;
   if (entry_size > max_size_) {
     // An entry larger than the table empties it (RFC 7541 §4.4).
@@ -212,8 +262,66 @@ void HpackDynamicTable::add(std::string_view name, std::string_view value) {
     return;
   }
   evict_to(max_size_ - entry_size);
+  reserve_for(name.size() + value.size());
+  // Empty views may be null, and so may the buffer of a table that has
+  // held only empty fields: copy nothing then.
+  char* out = bytes_.get() + tail_;
+  if (!name.empty()) std::memcpy(out, name.data(), name.size());
+  if (!value.empty()) {
+    std::memcpy(out + name.size(), value.data(), value.size());
+  }
+
+  const std::uint64_t nh = quick_hash(name);
+  const std::uint64_t fh = field_hash(nh, value);
+  Record& r = records_[inserted_ & (records_.size() - 1)];
+  r.offset = tail_;
+  r.name_len = name.size();
+  r.value_len = value.size();
+  r.name_hash = tag_of(nh);
+  r.field_hash = tag_of(fh);
+  std::uint64_t& name_head = heads_[bucket_of(nh)];
+  std::uint64_t& field_head = heads_[kBuckets + bucket_of(fh)];
+  r.name_next = name_head;
+  r.field_next = field_head;
+  ++inserted_;
+  name_head = field_head = inserted_;  // insertion number + 1
+
+  tail_ += name.size() + value.size();
+  ++count_;
   size_ += entry_size;
-  entries_.push_front({std::string(name), std::string(value)});
+}
+
+void HpackDynamicTable::reserve_for(std::size_t bytes) {
+  if (count_ == records_.size()) {
+    // The record ring is full: double it, each live entry moving to the
+    // slot of its insertion number under the wider mask.
+    std::vector<Record> grown(std::max<std::size_t>(16, 2 * records_.size()));
+    for (std::uint64_t n = oldest(); n < inserted_; ++n) {
+      grown[n & (grown.size() - 1)] = record(n);
+    }
+    records_.swap(grown);
+  }
+  if (heads_.empty()) heads_.assign(2 * kBuckets, 0);
+  if (tail_ + bytes <= capacity_) return;
+  // Out of tail room: slide the live bytes (oldest first, contiguous) to
+  // the front, or move them into a buffer twice what is needed. Sliding
+  // only while the live bytes fill at most half the buffer means a slide
+  // moves no more bytes than were appended since the previous one.
+  const std::size_t live_begin = count_ == 0 ? tail_ : record(oldest()).offset;
+  const std::size_t live = tail_ - live_begin;
+  const std::size_t need = live + bytes;
+  if (2 * need > capacity_) {
+    capacity_ = std::max<std::size_t>(2 * need, 1024);
+    auto grown = std::make_unique_for_overwrite<char[]>(capacity_);
+    if (live > 0) std::memcpy(grown.get(), bytes_.get() + live_begin, live);
+    bytes_ = std::move(grown);
+  } else if (live > 0) {
+    std::memmove(bytes_.get(), bytes_.get() + live_begin, live);
+  }
+  for (std::uint64_t n = oldest(); n < inserted_; ++n) {
+    records_[n & (records_.size() - 1)].offset -= live_begin;
+  }
+  tail_ = live;
 }
 
 void HpackDynamicTable::set_max_size(std::size_t max) {
@@ -222,21 +330,39 @@ void HpackDynamicTable::set_max_size(std::size_t max) {
 }
 
 void HpackDynamicTable::evict_to(std::size_t limit) {
-  while (size_ > limit && !entries_.empty()) {
-    const auto& oldest = entries_.back();
-    size_ -= oldest.name.size() + oldest.value.size() + kEntryOverhead;
-    entries_.pop_back();
+  while (size_ > limit && count_ > 0) {
+    const Record& r = record(oldest());
+    size_ -= r.name_len + r.value_len + kEntryOverhead;
+    --count_;
   }
+  if (count_ == 0) tail_ = 0;
 }
 
-std::size_t HpackDynamicTable::find(const std::string& name,
-                                    const std::string& value,
+std::size_t HpackDynamicTable::find(std::string_view name,
+                                    std::string_view value,
                                     std::size_t& name_only_out) const {
   name_only_out = npos;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].name != name) continue;
-    if (name_only_out == npos) name_only_out = i;
-    if (entries_[i].value == value) return i;
+  if (count_ == 0) return npos;
+  // Chains run newest to oldest and hold insertion numbers + 1: a link at
+  // or below the oldest live number ends the chain (evicted).
+  const std::uint64_t live_above = oldest();
+  const std::uint64_t nh = quick_hash(name);
+  for (std::uint64_t n = heads_[bucket_of(nh)]; n > live_above;) {
+    const Record& r = record(n - 1);
+    if (r.name_hash == tag_of(nh) && field(r).name == name) {
+      name_only_out = static_cast<std::size_t>(inserted_ - n);
+      break;
+    }
+    n = r.name_next;
+  }
+  if (name_only_out == npos) return npos;
+  const std::uint64_t fh = field_hash(nh, value);
+  for (std::uint64_t n = heads_[kBuckets + bucket_of(fh)]; n > live_above;) {
+    const Record& r = record(n - 1);
+    if (r.field_hash == tag_of(fh) && field(r) == Field{name, value}) {
+      return static_cast<std::size_t>(inserted_ - n);
+    }
+    n = r.field_next;
   }
   return npos;
 }
@@ -305,19 +431,18 @@ void HpackEncoder::encode_into(const http::HeaderBlock& block,
   }
 }
 
-util::Expected<HpackDecoder::FieldView, const char*> HpackDecoder::lookup(
+util::Expected<HpackDecoder::Field, const char*> HpackDecoder::lookup(
     std::uint64_t index) const {
   if (index == 0) return util::make_unexpected("hpack: index 0");
   if (index <= kStaticTable.size()) {
     const auto& [name, value] = kStaticTable[index - 1];
-    return FieldView{name, value};
+    return Field{name, value};
   }
   const std::uint64_t dyn = index - kStaticTable.size() - 1;
   if (dyn >= table_.entry_count()) {
     return util::make_unexpected("hpack: index out of range");
   }
-  const http::Header& entry = table_.at(dyn);
-  return FieldView{entry.name, entry.value};
+  return table_.at(dyn);
 }
 
 const char* HpackDecoder::decode_string(std::span<const std::uint8_t> in,

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -49,32 +49,85 @@ std::size_t hpack_static_find(const std::string& name,
 
 /// Shared dynamic-table logic (RFC 7541 §4): FIFO with 32-byte-per-entry
 /// overhead accounting, evicting from the oldest end.
+///
+/// The entries' bytes live in one flat buffer used as a ring: each entry
+/// appends its name and value at the tail, and when the tail runs out the
+/// live bytes slide back to the front (at most as many bytes as were
+/// appended since the last slide). Buffer and per-entry records grow with
+/// the entries actually held, never with the announced maximum, so a table
+/// allocates nothing per entry once warm.
+///
+/// find() runs on a hashed index beside the ring: per hash bucket, the
+/// newest entry whose name (or name and value) lands there, and per entry
+/// the next older one in its buckets. Entries are numbered by insertion;
+/// an evicted one falls out of every chain by comparison with the oldest
+/// live number, so eviction deletes nothing from the index.
 class HpackDynamicTable {
  public:
+  /// An entry by view: valid until the table next changes.
+  struct Field {
+    std::string_view name;
+    std::string_view value;
+    bool operator==(const Field&) const = default;
+  };
+
   explicit HpackDynamicTable(std::size_t max_size = 4096)
       : max_size_(max_size) {}
 
-  /// Insert a copy of the field as the newest entry.
+  /// Insert a copy of the field as the newest entry. Neither view may
+  /// point into this table.
   void add(std::string_view name, std::string_view value);
   void set_max_size(std::size_t max);
 
-  std::size_t entry_count() const noexcept { return entries_.size(); }
+  std::size_t entry_count() const noexcept { return count_; }
   std::size_t size() const noexcept { return size_; }
   std::size_t max_size() const noexcept { return max_size_; }
 
   /// index is 0-based from the newest entry.
-  const http::Header& at(std::size_t index) const { return entries_[index]; }
+  Field at(std::size_t index) const {
+    return field(record(inserted_ - 1 - index));
+  }
 
-  /// Returns 0-based index of exact match, or npos; `name_only_out` receives
-  /// the first name-only match if any.
+  /// Returns the 0-based index of the newest exact match, or npos;
+  /// `name_only_out` receives the newest entry with the name, or npos.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-  std::size_t find(const std::string& name, const std::string& value,
+  std::size_t find(std::string_view name, std::string_view value,
                    std::size_t& name_only_out) const;
 
  private:
+  struct Record {
+    std::size_t offset = 0;  // name bytes, then value bytes, in bytes_
+    std::size_t name_len = 0;
+    std::size_t value_len = 0;
+    std::uint32_t name_hash = 0;   // low bits of the hashes, to skip most
+    std::uint32_t field_hash = 0;  // bucket mates without a compare
+    // Insertion number + 1 of the next older entry in the same name /
+    // field bucket (0: none).
+    std::uint64_t name_next = 0;
+    std::uint64_t field_next = 0;
+  };
+  static constexpr std::size_t kBuckets = 64;  // per index; power of two
+
+  const Record& record(std::uint64_t number) const {
+    return records_[number & (records_.size() - 1)];
+  }
+  Field field(const Record& r) const {
+    const char* base = bytes_.get() + r.offset;
+    return {{base, r.name_len}, {base + r.name_len, r.value_len}};
+  }
+  /// Insertion number of the oldest live entry.
+  std::uint64_t oldest() const noexcept { return inserted_ - count_; }
+  /// Make room for `bytes` more at the tail of bytes_ and a new record.
+  void reserve_for(std::size_t bytes);
   void evict_to(std::size_t limit);
 
-  std::deque<http::Header> entries_;  // front = newest
+  std::unique_ptr<char[]> bytes_;
+  std::size_t capacity_ = 0;      // of bytes_
+  std::size_t tail_ = 0;          // end of the newest entry's bytes
+  std::vector<Record> records_;   // ring by insertion number; power of two
+  std::vector<std::uint64_t> heads_;  // name buckets, then field buckets
+  std::uint64_t inserted_ = 0;    // entries ever inserted
+  std::size_t count_ = 0;
   std::size_t size_ = 0;
   std::size_t max_size_;
 };
@@ -130,13 +183,10 @@ class HpackDecoder {
   const HpackDynamicTable& table() const noexcept { return table_; }
 
  private:
-  struct FieldView {
-    std::string_view name;
-    std::string_view value;
-  };
+  using Field = HpackDynamicTable::Field;
   /// The static or dynamic entry at HPACK `index`, by view: valid until
   /// the dynamic table next changes.
-  util::Expected<FieldView, const char*> lookup(std::uint64_t index) const;
+  util::Expected<Field, const char*> lookup(std::uint64_t index) const;
   /// Append the string literal at `pos` to `out`; advances `pos`. Returns
   /// the error message, or nullptr on success.
   static const char* decode_string(std::span<const std::uint8_t> in,

@@ -1,6 +1,7 @@
 #include "h2/hpack_huffman.h"
 
 #include <array>
+#include <cassert>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -104,25 +105,28 @@ std::unique_ptr<TrieNode> build_trie() {
   return r;
 }
 
-// Table-driven decoder: a finite state machine that consumes a nibble per
+// Table-driven decoder: a finite state machine that consumes a byte per
 // step instead of a bit. States are the trie's internal nodes (the partial
-// code read so far); each (state, nibble) entry precomputes the next state,
-// at most one emitted symbol (the minimum code length is 5 bits, so a
-// second code can never complete within the ≤3 bits left after a reset),
-// and whether the walk hit EOS or fell off the trie. Padding validity
-// becomes a per-state accept bit: the final state must be the root or an
-// all-ones prefix of EOS shorter than 8 bits (RFC 7541 §5.2).
+// code read so far; 256 of them, so a state fits in a byte); each
+// (state, byte) entry precomputes the next state, the symbols the byte
+// completes (at most two: the minimum code length is 5 bits, so a third
+// would need 11), and whether the walk hit EOS or fell off the trie, with
+// the symbols completed before that point. One lookup per input byte keeps
+// the decode's dependent chain of loads half as long as a nibble table's.
+// Padding validity becomes a per-state accept bit: the final state must be
+// the root or an all-ones prefix of EOS shorter than 8 bits (RFC 7541
+// §5.2).
 struct DecodeTable {
   struct Entry {
-    std::uint16_t next = 0;   // state index after the nibble
-    std::uint8_t flags = 0;
-    std::uint8_t symbol = 0;  // valid when kEmit
+    std::uint8_t next = 0;   // state index after the byte
+    std::uint8_t flags = 0;  // symbol count (kCount bits), kFail, kEos
+    std::uint8_t symbol[2] = {0, 0};
   };
-  static constexpr std::uint8_t kEmit = 1;  // entry emits `symbol`
-  static constexpr std::uint8_t kFail = 2;  // no code matches these bits
-  static constexpr std::uint8_t kEos = 4;   // the EOS code completed
+  static constexpr std::uint8_t kCount = 3;  // mask: symbols completed
+  static constexpr std::uint8_t kFail = 4;   // no code matches these bits
+  static constexpr std::uint8_t kEos = 8;    // the EOS code completed
 
-  std::vector<Entry> entries;       // states × 16, row-major by state
+  std::vector<Entry> entries;        // states × 256, row-major by state
   std::vector<std::uint8_t> accept;  // per state: valid final padding?
 };
 
@@ -132,9 +136,9 @@ const DecodeTable& decode_table() {
 
     // Index the internal nodes; they are the FSM states, root = state 0.
     std::vector<const TrieNode*> states;
-    std::unordered_map<const TrieNode*, std::uint16_t> index;
+    std::unordered_map<const TrieNode*, std::uint8_t> index;
     const auto add_state = [&](const TrieNode* n) {
-      index.emplace(n, static_cast<std::uint16_t>(states.size()));
+      index.emplace(n, static_cast<std::uint8_t>(states.size()));
       states.push_back(n);
     };
     add_state(root.get());
@@ -143,17 +147,19 @@ const DecodeTable& decode_table() {
         if (child && child->symbol < 0) add_state(child.get());
       }
     }
+    assert(states.size() == 256);
 
     DecodeTable t;
-    t.entries.resize(states.size() * 16);
+    t.entries.resize(states.size() * 256);
     t.accept.assign(states.size(), 0);
 
     for (std::size_t s = 0; s < states.size(); ++s) {
-      for (std::uint32_t nib = 0; nib < 16; ++nib) {
+      for (std::uint32_t byte = 0; byte < 256; ++byte) {
         DecodeTable::Entry e;
+        std::uint8_t count = 0;
         const TrieNode* node = states[s];
-        for (int bit = 3; bit >= 0; --bit) {
-          const int b = static_cast<int>((nib >> bit) & 1u);
+        for (int bit = 7; bit >= 0; --bit) {
+          const int b = static_cast<int>((byte >> bit) & 1u);
           const TrieNode* next = node->child[b].get();
           if (next == nullptr) {
             e.flags |= DecodeTable::kFail;
@@ -164,15 +170,15 @@ const DecodeTable& decode_table() {
             break;
           }
           if (next->symbol >= 0) {
-            e.flags |= DecodeTable::kEmit;
-            e.symbol = static_cast<std::uint8_t>(next->symbol);
+            e.symbol[count++] = static_cast<std::uint8_t>(next->symbol);
             node = root.get();
           } else {
             node = next;
           }
         }
+        e.flags |= count;
         e.next = index.at(node);
-        t.entries[s * 16 + nib] = e;
+        t.entries[s * 256 + byte] = e;
       }
     }
 
@@ -222,24 +228,31 @@ const char* huffman_decode_into(std::span<const std::uint8_t> input,
                                 std::string& out) {
   const DecodeTable& table = decode_table();
   const DecodeTable::Entry* entries = table.entries.data();
-  // Every code is at least 5 bits long.
-  out.reserve(out.size() + input.size() * 8 / 5);
+  // Every code is at least 5 bits long: size the output once for the most
+  // symbols the input can hold, write through a pointer, then trim. Each
+  // byte stores both symbol slots whatever it completes, so two spare bytes
+  // keep those stores inside the string.
+  const std::size_t start = out.size();
+  out.resize(start + input.size() * 8 / 5 + 2);
+  char* const begin = out.data() + start;
+  char* p = begin;
   std::uint32_t state = 0;
+  const char* error = nullptr;
   for (std::uint8_t byte : input) {
-    const DecodeTable::Entry hi = entries[state * 16 + (byte >> 4)];
-    if (hi.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
-      return hi.flags & DecodeTable::kEos ? "huffman: EOS in stream"
+    const DecodeTable::Entry e = entries[state * 256 + byte];
+    p[0] = static_cast<char>(e.symbol[0]);
+    p[1] = static_cast<char>(e.symbol[1]);
+    p += e.flags & DecodeTable::kCount;
+    if (e.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
+      // The symbols completed before the failing bit are kept.
+      error = e.flags & DecodeTable::kEos ? "huffman: EOS in stream"
                                           : "huffman: invalid code";
+      break;
     }
-    if (hi.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(hi.symbol));
-    const DecodeTable::Entry lo = entries[hi.next * 16 + (byte & 0xf)];
-    if (lo.flags & (DecodeTable::kFail | DecodeTable::kEos)) {
-      return lo.flags & DecodeTable::kEos ? "huffman: EOS in stream"
-                                          : "huffman: invalid code";
-    }
-    if (lo.flags & DecodeTable::kEmit) out.push_back(static_cast<char>(lo.symbol));
-    state = lo.next;
+    state = e.next;
   }
+  out.resize(start + static_cast<std::size_t>(p - begin));
+  if (error != nullptr) return error;
   if (!table.accept[state]) return "huffman: invalid padding";
   return nullptr;
 }

@@ -12,12 +12,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <vector>
 
 #include "h2/frame.h"
 #include "util/function_ref.h"
+#include "util/id_map.h"
 
 namespace h2push::trace {
 class TraceRecorder;
@@ -30,24 +30,36 @@ using ReadyFn = util::FunctionRef<bool(std::uint32_t)>;
 
 class PriorityTree {
  public:
+  /// Idle nodes kept at most: placeholders for unknown parents and ids
+  /// named only by PRIORITY frames (RFC 7540 §5.3.4 lets an endpoint bound
+  /// them). Past the cap the oldest idle node is removed as remove() does.
+  /// The simulated page loads stay well below it.
+  static constexpr std::size_t kMaxIdleNodes = 256;
+
   PriorityTree();
 
-  /// Insert a stream. Unknown parents are created as idle placeholders
-  /// (RFC 7540 §5.3.1). Exclusive insertion adopts the parent's children.
+  /// Insert a stream that opened (HEADERS or PUSH_PROMISE); an existing
+  /// node, idle or not, becomes a stream and is reprioritized. Unknown
+  /// parents are created as idle placeholders (RFC 7540 §5.3.1). Exclusive
+  /// insertion adopts the parent's children.
   void add(std::uint32_t id, const PrioritySpec& spec);
 
-  /// PRIORITY frame: move a stream (and its subtree) to a new parent.
-  /// Moving under one's own descendant first reparents that descendant
-  /// (§5.3.3).
+  /// PRIORITY frame: move a stream (and its subtree) to a new parent; an
+  /// unknown id is inserted as an idle node. Moving under one's own
+  /// descendant first reparents that descendant (§5.3.3).
   void reprioritize(std::uint32_t id, const PrioritySpec& spec);
 
   /// Remove a closed stream; children are reparented to its parent.
   void remove(std::uint32_t id);
 
-  bool contains(std::uint32_t id) const { return nodes_.count(id) != 0; }
+  bool contains(std::uint32_t id) const { return nodes_.contains(id); }
   std::uint32_t parent_of(std::uint32_t id) const;
   std::uint16_t weight_of(std::uint32_t id) const;
   std::vector<std::uint32_t> children_of(std::uint32_t id) const;
+  /// Nodes in the tree, the root included.
+  std::size_t size() const noexcept { return nodes_.size(); }
+  /// Nodes that are not streams (placeholders and PRIORITY-only ids).
+  std::size_t idle_count() const noexcept { return idle_count_; }
 
   /// Pick the next stream to serve: depth-first, parent before children,
   /// weighted round-robin among sibling subtrees. `ready(id)` says whether a
@@ -58,22 +70,48 @@ class PriorityTree {
   bool is_ancestor(std::uint32_t ancestor, std::uint32_t id) const;
 
  private:
+  // Nodes link each other by slot in nodes_ (stable while a node lives):
+  // children are a doubly linked sibling list in insertion order, and idle
+  // nodes a second list in creation order. Nothing is allocated per node.
+  using Slot = std::uint32_t;
+  static constexpr Slot kNil = util::kNoSlot;
+  static constexpr Slot kRoot = 0;  // stream 0, inserted first, never erased
+
   struct Node {
-    std::uint32_t parent = 0;
+    Slot parent = kNil;
+    Slot first_child = kNil;
+    Slot last_child = kNil;
+    Slot prev_sibling = kNil;
+    Slot next_sibling = kNil;
+    Slot prev_idle = kNil;  // idle list links, while idle
+    Slot next_idle = kNil;
     std::uint16_t weight = 16;
-    std::vector<std::uint32_t> children;  // insertion-ordered
-    double credit = 0;                    // WRR credit
+    bool idle = false;
+    double credit = 0;  // WRR credit
   };
 
-  std::uint32_t pick_subtree(std::uint32_t id, ReadyFn ready);
-  void detach(std::uint32_t id);
-  void attach(std::uint32_t id, std::uint32_t parent, bool exclusive);
+  std::uint32_t pick_subtree(Slot s, ReadyFn ready);
+  /// Insert `id` with `weight`, unlinked; idle nodes join the idle list.
+  Slot create(std::uint32_t id, std::uint16_t weight, bool idle);
+  void move(Slot s, const PrioritySpec& spec);
+  void detach(Slot s);
+  void append_child(Slot parent, Slot child);
+  /// Link `s` under `parent_id`, creating an idle placeholder for an
+  /// unknown parent; exclusive adoption appends the parent's children to
+  /// those `s` already has.
+  void attach(Slot s, std::uint32_t parent_id, bool exclusive);
+  void unlink_idle(Slot s);
+  void erase(Slot s);
+  void evict_idle();
 
-  std::map<std::uint32_t, Node> nodes_;  // ordered for determinism
+  util::IdMap<Node> nodes_;  // by stream id; no order is relied on
+  Slot idle_head_ = kNil;    // oldest idle node
+  Slot idle_tail_ = kNil;
+  std::size_t idle_count_ = 0;
   // pick()'s scratch, reused across calls: each level of the descent is
   // done with both before it recurses.
-  std::vector<std::uint32_t> eligible_;
-  std::vector<std::uint32_t> probe_stack_;
+  std::vector<Slot> eligible_;
+  std::vector<Slot> probe_stack_;
 };
 
 /// The connection's DATA scheduler: the dependency tree, plus the paper's
@@ -106,6 +144,8 @@ class TreeScheduler {
   void on_stream_finished(std::uint32_t id) {
     if (configured_) drop_critical(id);
   }
+  /// The dependency tree (read-only: for tests and introspection).
+  const PriorityTree& tree() const noexcept { return tree_; }
   /// Choose the next stream among those where `ready` holds; 0 = none.
   std::uint32_t pick(ReadyFn ready) {
     return configured_ ? pick_switched(ready) : tree_.pick(ready);

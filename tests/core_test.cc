@@ -286,7 +286,7 @@ TEST(Testbed, InterleavingDeliversCriticalBeforeParentFinishes) {
 // is pinned at its recorded count. The simulation is deterministic, and so
 // is the count: a load that allocates more has regressed.
 TEST(Testbed, WarmPageLoadStaysWithinAllocationBudget) {
-  constexpr std::size_t kBudget = 712;
+  constexpr std::size_t kBudget = 644;
   const auto site = fixture_site();
   RunConfig cfg;
   const auto strategy = push_list(

@@ -2,6 +2,11 @@
 // tables, encoder/decoder round trips, and RFC 7541 error cases.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <span>
+#include <string>
+#include <vector>
+
 #include "h2/hpack.h"
 #include "h2/hpack_huffman.h"
 #include "util/rng.h"
@@ -131,6 +136,123 @@ TEST(Huffman, RejectsBadPadding) {
   EXPECT_FALSE(result.has_value());
 }
 
+// A bit-at-a-time reference decoder over a binary trie of the RFC 7541
+// Appendix B code. The code is read back from the encoder (eight copies of
+// a symbol fill whole bytes, so they give its bit length and bits exactly);
+// EOS is 30 one bits.
+class BitTrieDecoder {
+ public:
+  BitTrieDecoder() {
+    nodes_.emplace_back();
+    for (int sym = 0; sym < 256; ++sym) {
+      std::vector<std::uint8_t> bytes;
+      huffman_encode(std::string(8, static_cast<char>(sym)), bytes);
+      std::vector<int> bits;
+      for (std::size_t i = 0; i < bytes.size(); ++i) {  // 8 * len / 8 bytes
+        bits.push_back((bytes[i / 8] >> (7 - i % 8)) & 1);
+      }
+      insert(bits, sym);
+    }
+    insert(std::vector<int>(30, 1), 256);
+  }
+
+  const char* decode(std::span<const std::uint8_t> input,
+                     std::string& out) const {
+    int node = 0;
+    int pending = 0;  // bits since the last symbol
+    bool all_ones = true;
+    for (std::uint8_t byte : input) {
+      for (int bit = 7; bit >= 0; --bit) {
+        const int b = (byte >> bit) & 1;
+        node = nodes_[static_cast<std::size_t>(node)].child[b];
+        if (node < 0) return "huffman: invalid code";
+        ++pending;
+        all_ones = all_ones && b == 1;
+        const int symbol = nodes_[static_cast<std::size_t>(node)].symbol;
+        if (symbol == 256) return "huffman: EOS in stream";
+        if (symbol >= 0) {
+          out.push_back(static_cast<char>(symbol));
+          node = 0;
+          pending = 0;
+          all_ones = true;
+        }
+      }
+    }
+    if (pending > 7 || !all_ones) return "huffman: invalid padding";
+    return nullptr;
+  }
+
+ private:
+  struct Node {
+    int child[2] = {-1, -1};
+    int symbol = -1;
+  };
+  void insert(const std::vector<int>& bits, int symbol) {
+    int node = 0;
+    for (int b : bits) {
+      if (nodes_[static_cast<std::size_t>(node)].child[b] < 0) {
+        nodes_[static_cast<std::size_t>(node)].child[b] =
+            static_cast<int>(nodes_.size());
+        nodes_.emplace_back();
+      }
+      node = nodes_[static_cast<std::size_t>(node)].child[b];
+    }
+    nodes_[static_cast<std::size_t>(node)].symbol = symbol;
+  }
+  std::vector<Node> nodes_;
+};
+
+// The table-driven decoder against the bit-at-a-time trie: same output,
+// same partial output and same error message, for every single byte, for
+// encodings of random strings, and for raw bytes that end in bad padding
+// or run into EOS.
+TEST(Huffman, DecoderMatchesBitTrieReference) {
+  const BitTrieDecoder reference;
+  const auto check = [&](const std::vector<std::uint8_t>& input) {
+    std::string want = "prefix:";
+    std::string got = "prefix:";
+    const char* want_error = reference.decode(input, want);
+    const char* got_error = huffman_decode_into(input, got);
+    ASSERT_EQ(std::string(want_error ? want_error : "ok"),
+              std::string(got_error ? got_error : "ok"));
+    ASSERT_EQ(got, want);
+  };
+  for (int sym = 0; sym < 256; ++sym) {
+    std::vector<std::uint8_t> encoded;
+    huffman_encode(std::string(1, static_cast<char>(sym)), encoded);
+    ASSERT_NO_FATAL_FAILURE(check(encoded)) << "symbol " << sym;
+    ASSERT_NO_FATAL_FAILURE(check({static_cast<std::uint8_t>(sym)}))
+        << "raw byte " << sym;
+  }
+  util::Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    std::string s;
+    const auto len = rng.uniform_int(0, 80);
+    for (int j = 0; j < len; ++j) {
+      s.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    }
+    std::vector<std::uint8_t> encoded;
+    huffman_encode(s, encoded);
+    ASSERT_NO_FATAL_FAILURE(check(encoded)) << "string " << i;
+    // Padding made too long (a whole extra byte of ones) or not all ones.
+    encoded.push_back(0xff);
+    ASSERT_NO_FATAL_FAILURE(check(encoded)) << "long padding " << i;
+    encoded.back() = static_cast<std::uint8_t>(rng.uniform_int(0, 0xfe));
+    ASSERT_NO_FATAL_FAILURE(check(encoded)) << "bad padding " << i;
+    // Raw bytes, leaning on 0xff so that EOS (30 ones) comes up.
+    std::vector<std::uint8_t> raw;
+    const auto raw_len = rng.uniform_int(1, 12);
+    for (int j = 0; j < raw_len; ++j) {
+      raw.push_back(rng.uniform_int(0, 2) == 0
+                        ? 0xff
+                        : static_cast<std::uint8_t>(rng.uniform_int(0, 255)));
+    }
+    ASSERT_NO_FATAL_FAILURE(check(raw)) << "raw " << i;
+  }
+  ASSERT_NO_FATAL_FAILURE(check({0xff, 0xff, 0xff, 0xff}));  // EOS
+  ASSERT_NO_FATAL_FAILURE(check({}));
+}
+
 // ------------------------------------------------------------ dynamic table
 
 TEST(HpackDynamicTable, EvictsOldestWhenFull) {
@@ -158,6 +280,101 @@ TEST(HpackDynamicTable, SetMaxSizeEvicts) {
   table.set_max_size(50);
   EXPECT_EQ(table.entry_count(), 1u);
   EXPECT_EQ(table.at(0).name, "cccc");
+}
+
+// The dynamic table's hashed index against a scan of a plain FIFO model of
+// RFC 7541 §4: after every step the entries, sizes and find() results must
+// agree (find: the newest exact match and the newest name match). Names
+// and values share their first and last 8 bytes in places, so they collide
+// in the index's hash and only the byte compare tells them apart.
+TEST(Hpack, DynamicIndexMatchesLinearScan) {
+  const std::string mid(20, 'm');
+  const std::vector<std::string> names{
+      "x-a", "x-b", "cookie", "content-type", "",
+      "x-long-name-" + mid + "a-tail", "x-long-name-" + mid + "b-tail"};
+  const std::vector<std::string> values{
+      "", "1", "2", "text/html", "12345678", "1234567812345678",
+      "prefix--" + mid + "one-" + "--suffix",
+      "prefix--" + mid + "two-" + "--suffix", std::string(300, 'v'),
+      std::string(1500, 'w')};
+  struct Model {
+    std::deque<std::pair<std::string, std::string>> entries;  // newest first
+    std::size_t size = 0;
+    std::size_t max = 4096;
+    void evict_to(std::size_t limit) {
+      while (size > limit && !entries.empty()) {
+        size -= entries.back().first.size() + entries.back().second.size() + 32;
+        entries.pop_back();
+      }
+    }
+    void add(const std::string& n, const std::string& v) {
+      const std::size_t entry = n.size() + v.size() + 32;
+      if (entry > max) {
+        evict_to(0);
+        return;
+      }
+      evict_to(max - entry);
+      entries.emplace_front(n, v);
+      size += entry;
+    }
+    std::size_t scan(const std::string& n, const std::string& v,
+                     std::size_t& name_only) const {
+      name_only = HpackDynamicTable::npos;
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (entries[i].first != n) continue;
+        if (name_only == HpackDynamicTable::npos) name_only = i;
+        if (entries[i].second == v) return i;
+      }
+      return HpackDynamicTable::npos;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    util::Rng rng(seed);
+    HpackDynamicTable table;
+    Model model;
+    const auto pick = [&](const std::vector<std::string>& pool) {
+      return pool[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(pool.size()) - 1))];
+    };
+    for (int step = 0; step < 1500; ++step) {
+      const auto op = rng.uniform_int(0, 99);
+      if (op < 3) {
+        // Shrink (0 empties the table) or regrow the limit.
+        const std::size_t sizes[] = {0, 64, 200, 1024, 4096, 8192};
+        const std::size_t max = sizes[rng.uniform_int(0, 5)];
+        table.set_max_size(max);
+        model.max = max;
+        model.evict_to(max);
+      } else if (op < 5) {
+        const std::string big(model.max + 1, 'z');  // oversized: empties
+        table.add("x-big", big);
+        model.add("x-big", big);
+      } else {
+        const std::string n = pick(names);
+        const std::string v = pick(values);
+        table.add(n, v);
+        model.add(n, v);
+      }
+      ASSERT_EQ(table.entry_count(), model.entries.size())
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(table.size(), model.size);
+      for (std::size_t i = 0; i < model.entries.size(); ++i) {
+        ASSERT_EQ(table.at(i).name, model.entries[i].first) << "entry " << i;
+        ASSERT_EQ(table.at(i).value, model.entries[i].second) << "entry " << i;
+      }
+      for (int probe = 0; probe < 6; ++probe) {
+        const std::string n = pick(names);
+        const std::string v = pick(values);
+        std::size_t want_name = 0;
+        std::size_t got_name = 0;
+        const std::size_t want = model.scan(n, v, want_name);
+        ASSERT_EQ(table.find(n, v, got_name), want)
+            << "seed " << seed << " step " << step << " " << n << "=" << v;
+        ASSERT_EQ(got_name, want_name)
+            << "seed " << seed << " step " << step << " " << n;
+      }
+    }
+  }
 }
 
 // ----------------------------------------------------------- encode/decode
